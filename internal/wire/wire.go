@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Sizes of the fixed headers, in bytes.
@@ -114,49 +115,72 @@ type UDPHeader struct {
 //
 //lhlint:hotpath
 func Checksum(b []byte) uint16 {
-	var sum uint32
+	return ^fold(sum64(b, 0))
+}
+
+// sum64 adds b to the ones'-complement accumulator acc, eight bytes at
+// a time. Each big-endian uint64 word is congruent, modulo 0xffff, to
+// the sum of its four 16-bit words (2^16 ≡ 1), so the folded result is
+// bit-identical to a 16-bit-word loop. b is read as if it started at an
+// even offset of the checksummed stream; a trailing odd byte is padded
+// with zero on the right, as RFC 1071 prescribes.
+//
+//lhlint:hotpath
+func sum64(b []byte, acc uint64) uint64 {
+	var c uint64
+	for len(b) >= 32 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[0:8]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:16]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:24]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:32]), c)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
 	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+		acc, c = bits.Add64(acc, uint64(binary.BigEndian.Uint16(b)), c)
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		acc, c = bits.Add64(acc, uint64(b[0])<<8, c)
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
+	// End-around carry; acc+c can wrap only when acc is all ones, and
+	// then the second carry lands on a zero.
+	acc, c = bits.Add64(acc, c, 0)
+	return acc + c
+}
+
+// fold reduces a ones'-complement accumulator to 16 bits with
+// end-around carry. A nonzero input never folds to zero.
+//
+//lhlint:hotpath
+func fold(acc uint64) uint16 {
+	acc = acc&0xffffffff + acc>>32
+	acc = acc&0xffffffff + acc>>32
+	acc = acc&0xffff + acc>>16
+	acc = acc&0xffff + acc>>16
+	return uint16(acc)
 }
 
 // udpSum computes the RFC 1071 checksum of the IPv4 pseudo-header followed
 // by the UDP segment, folding the pseudo-header in arithmetically instead
 // of materializing it. skip names the byte offset of one 16-bit word in udp
 // to treat as zero (the checksum field during verification); pass -1 to sum
-// every word. The pseudo-header is an even 12 bytes, so udp's words keep
-// their 2-byte alignment and the result matches Checksum over the
-// concatenated buffers exactly.
+// every word. skip must be even so the words after it keep their 16-bit
+// phase. The pseudo-header is an even 12 bytes, so the result matches
+// Checksum over the concatenated buffers exactly.
 //
 //lhlint:hotpath
 func udpSum(src, dst IP, udp []byte, skip int) uint16 {
-	sum := uint32(binary.BigEndian.Uint16(src[0:2])) +
-		uint32(binary.BigEndian.Uint16(src[2:4])) +
-		uint32(binary.BigEndian.Uint16(dst[0:2])) +
-		uint32(binary.BigEndian.Uint16(dst[2:4])) +
-		uint32(ProtoUDP) + uint32(uint16(len(udp)))
-	i := 0
-	for ; i+1 < len(udp); i += 2 {
-		if i == skip {
-			continue
-		}
-		sum += uint32(binary.BigEndian.Uint16(udp[i:]))
+	acc := uint64(src.Uint32()) + uint64(dst.Uint32()) +
+		uint64(ProtoUDP) + uint64(uint16(len(udp)))
+	if skip >= 0 {
+		acc = sum64(udp[:skip], acc)
+		udp = udp[skip+2:]
 	}
-	if i < len(udp) {
-		sum += uint32(udp[i]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
+	return ^fold(sum64(udp, acc))
 }
 
 // udpChecksum computes the UDP checksum including the IPv4 pseudo-header.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -263,5 +265,178 @@ func TestCorruptionDetectedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refUDPSum is the straightforward 16-bit-word form of udpSum: one word
+// per iteration, skipping the word at byte offset skip. The word-at-a-time
+// kernel must match it bit for bit.
+func refUDPSum(src, dst IP, udp []byte, skip int) uint16 {
+	sum := uint32(binary.BigEndian.Uint16(src[0:2])) +
+		uint32(binary.BigEndian.Uint16(src[2:4])) +
+		uint32(binary.BigEndian.Uint16(dst[0:2])) +
+		uint32(binary.BigEndian.Uint16(dst[2:4])) +
+		uint32(ProtoUDP) + uint32(uint16(len(udp)))
+	i := 0
+	for ; i+1 < len(udp); i += 2 {
+		if i == skip {
+			continue
+		}
+		sum += uint32(binary.BigEndian.Uint16(udp[i:]))
+	}
+	if i < len(udp) {
+		sum += uint32(udp[i]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = (sum & 0xffff) + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// pseudoChecksum materializes the IPv4 pseudo-header in front of udp and
+// runs Checksum over the concatenation, which is what udpSum(…, -1)
+// computes without the copy.
+func pseudoChecksum(src, dst IP, udp []byte) uint16 {
+	buf := make([]byte, 12, 12+len(udp))
+	copy(buf[0:4], src[:])
+	copy(buf[4:8], dst[:])
+	buf[9] = ProtoUDP
+	binary.BigEndian.PutUint16(buf[10:12], uint16(len(udp)))
+	return Checksum(append(buf, udp...))
+}
+
+// checkUDPSum compares udpSum with refUDPSum for every skip the callers
+// use (-1 when building, 6 when verifying), and Checksum over the
+// materialized pseudo-header with the full sum.
+func checkUDPSum(t *testing.T, src, dst IP, udp []byte) {
+	t.Helper()
+	for _, skip := range []int{-1, 6} {
+		if skip >= 0 && len(udp) < skip+2 {
+			continue
+		}
+		got, want := udpSum(src, dst, udp, skip), refUDPSum(src, dst, udp, skip)
+		if got != want {
+			t.Fatalf("udpSum(len=%d, skip=%d) = %#04x, reference %#04x (udp=% x)",
+				len(udp), skip, got, want, udp)
+		}
+	}
+	if got, want := pseudoChecksum(src, dst, udp), refUDPSum(src, dst, udp, -1); got != want {
+		t.Fatalf("Checksum over pseudo-header (len=%d) = %#04x, reference %#04x", len(udp), got, want)
+	}
+}
+
+func TestUDPSumMatchesReference(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	for n := 8970; n <= 8980; n++ {
+		lengths = append(lengths, n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ips := [][2]IP{
+		{srcEP.IP, dstEP.IP},
+		{{0xff, 0xff, 0xff, 0xff}, {0xff, 0xff, 0xff, 0xff}},
+		{{0, 0, 0, 0}, {0, 0, 0, 0}},
+	}
+	fills := []struct {
+		name string
+		fill func([]byte)
+	}{
+		{"zero", func(b []byte) {}},
+		{"ones", func(b []byte) {
+			for i := range b {
+				b[i] = 0xff
+			}
+		}},
+		{"random", func(b []byte) { rng.Read(b) }},
+	}
+	for _, fl := range fills {
+		for _, n := range lengths {
+			udp := make([]byte, n)
+			fl.fill(udp)
+			for _, ip := range ips {
+				checkUDPSum(t, ip[0], ip[1], udp)
+			}
+		}
+	}
+}
+
+// FuzzUDPSum checks the word-at-a-time kernel against the 16-bit
+// reference for arbitrary segments and addresses.
+func FuzzUDPSum(f *testing.F) {
+	for _, p := range roundTripPayloads() {
+		f.Add(append(make([]byte, UDPHeaderLen), p...), srcEP.IP.Uint32(), dstEP.IP.Uint32())
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 77), ^uint32(0), ^uint32(0))
+	f.Fuzz(func(t *testing.T, udp []byte, src, dst uint32) {
+		checkUDPSum(t, IPFromUint32(src), IPFromUint32(dst), udp)
+	})
+}
+
+// FuzzParseUDPInto feeds arbitrary bytes to the parser, which must never
+// panic, then uses them as a payload: build→parse must round-trip it,
+// and changing any one payload byte must fail the UDP checksum.
+func FuzzParseUDPInto(f *testing.F) {
+	for _, p := range roundTripPayloads() {
+		f.Add(p, uint16(0), byte(1))
+		if frame, err := BuildUDP(srcEP, dstEP, 77, p); err == nil {
+			f.Add(frame, uint16(len(p)/2), byte(0x80))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pos uint16, delta byte) {
+		var d Datagram
+		_ = ParseUDPInto(data, &d)
+
+		payload := data
+		if len(payload) > MaxUDPPayload {
+			payload = payload[:MaxUDPPayload]
+		}
+		frame, err := BuildUDP(srcEP, dstEP, 77, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ParseUDPInto(frame, &d); err != nil {
+			t.Fatalf("parse of built frame: %v", err)
+		}
+		if !bytes.Equal(d.Payload, payload) {
+			t.Fatalf("payload mismatch: got % x, want % x", d.Payload, payload)
+		}
+		if len(payload) == 0 || delta == 0 {
+			return
+		}
+		frame[HeadersLen+int(pos)%len(payload)] ^= delta
+		if err := ParseUDPInto(frame, &d); !errors.Is(err, ErrBadChecksum) {
+			t.Fatalf("corrupted payload byte %d: err = %v, want ErrBadChecksum", int(pos)%len(payload), err)
+		}
+	})
+}
+
+// roundTripPayloads are the payloads of the build/parse round-trip tests,
+// used to seed the fuzz corpora.
+func roundTripPayloads() [][]byte {
+	big := make([]byte, MaxUDPPayload)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	return [][]byte{[]byte("hello lauberhorn"), nil, {1}, []byte("hello"), []byte("abcdef"), big}
+}
+
+var udpSumSink uint16
+
+// BenchmarkUDPSum measures the verifying sum (checksum word skipped) over
+// UDP segments from a minimum RPC to a full jumbo frame.
+func BenchmarkUDPSum(b *testing.B) {
+	for _, n := range []int{64, 1472, 4096, 8972} {
+		udp := make([]byte, n)
+		for i := range udp {
+			udp[i] = byte(i)
+		}
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				udpSumSink = udpSum(srcEP.IP, dstEP.IP, udp, 6)
+			}
+		})
 	}
 }

@@ -93,9 +93,11 @@ type Generator struct {
 	sizeFn []func(*sim.RNG) int
 
 	// Reused staging scratch: responses parse into rxScr/msgScr, request
-	// bodies and encodings build in bodyScr/reqScr (BuildUDP copies the
-	// payload into the frame), so the steady-state send/receive paths
-	// allocate only the frame itself.
+	// encodings build in reqScr (BuildUDP copies the payload into the
+	// frame), so the steady-state send/receive paths allocate only the
+	// frame itself. bodyScr holds the body pattern byte(i), filled once
+	// when it grows and never written again; a request body is a prefix
+	// of it.
 	rxScr   wire.Datagram
 	msgScr  rpc.Message
 	bodyScr []byte
@@ -268,13 +270,13 @@ func (g *Generator) SendTo(ti int) uint64 {
 	if size > wire.MaxUDPPayload-rpc.HeaderLen {
 		size = wire.MaxUDPPayload - rpc.HeaderLen
 	}
-	if cap(g.bodyScr) < size {
+	if len(g.bodyScr) < size {
 		g.bodyScr = make([]byte, size)
+		for i := range g.bodyScr {
+			g.bodyScr[i] = byte(i)
+		}
 	}
 	body := g.bodyScr[:size]
-	for i := range body {
-		body[i] = byte(i)
-	}
 	id := g.nextID
 	g.nextID++
 	g.reqScr = rpc.AppendMessage(g.reqScr[:0],

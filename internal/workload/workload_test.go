@@ -433,3 +433,54 @@ func targetsN(n int) []Target {
 type devNull struct{}
 
 func (devNull) DeliverFrame([]byte) {}
+
+// capturePort records a copy of every frame the link delivers.
+type capturePort struct{ frames [][]byte }
+
+func (c *capturePort) DeliverFrame(frame []byte) {
+	c.frames = append(c.frames, append([]byte(nil), frame...))
+}
+
+// Every request body is the pattern byte(i), also after the staging
+// buffer grew for a larger target and when a later body is shorter.
+func TestRequestBodyPattern(t *testing.T) {
+	s := sim.New(5)
+	link := fabric.NewLink(s, fabric.Net100G)
+	gen := NewGenerator(s, Config{
+		Client: wire.Endpoint{MAC: wire.MAC{2, 0, 0, 0, 0, 1}, IP: wire.IP{10, 0, 0, 1}},
+		Server: wire.Endpoint{MAC: wire.MAC{2, 0, 0, 0, 0, 2}, IP: wire.IP{10, 0, 0, 2}},
+		Targets: []Target{
+			{Port: 9000, Service: 1, Method: 1, Size: FixedSize{N: 40}},
+			{Port: 9000, Service: 1, Method: 1, Size: FixedSize{N: 300}},
+		},
+		Arrivals: RatePerSec(1000),
+	}, link, 0)
+	peer := &capturePort{}
+	link.Attach(gen, peer)
+	for _, ti := range []int{0, 1, 0, 1} {
+		gen.SendTo(ti)
+	}
+	s.Run()
+	want := []int{40, 300, 40, 300}
+	if len(peer.frames) != len(want) {
+		t.Fatalf("captured %d frames, want %d", len(peer.frames), len(want))
+	}
+	for k, f := range peer.frames {
+		d, err := wire.ParseUDP(f)
+		if err != nil {
+			t.Fatalf("frame %d: %v", k, err)
+		}
+		m, err := rpc.Decode(d.Payload)
+		if err != nil {
+			t.Fatalf("frame %d: %v", k, err)
+		}
+		if len(m.Body) != want[k] {
+			t.Fatalf("frame %d: body %d bytes, want %d", k, len(m.Body), want[k])
+		}
+		for i, b := range m.Body {
+			if b != byte(i) {
+				t.Fatalf("frame %d: body[%d] = %#02x, want %#02x", k, i, b, byte(i))
+			}
+		}
+	}
+}
