@@ -75,8 +75,8 @@ type Stats struct {
 // Worker is the state of one bypass poll-loop thread. The run-to-
 // completion pipeline is flattened into prebound stage continuations: a
 // worker serves one request at a time, so the per-request fields are
-// reused across iterations and the steady state allocates only the
-// response frame (whose ownership transfers to the NIC).
+// reused across iterations; the response frame comes from the NIC's
+// pool and its ownership transfers to the NIC.
 type Worker struct {
 	cfg   WorkerConfig
 	stats Stats
@@ -157,6 +157,7 @@ func (w *Worker) poll() {
 func (w *Worker) serve(d *wire.Datagram) {
 	if err := rpc.DecodeInto(d.Payload, &w.msg); err != nil {
 		w.stats.BadRPC++
+		w.cfg.NIC.Frames.Put(d.Frame)
 		w.poll()
 		return
 	}
@@ -203,8 +204,10 @@ func (w *Worker) encode() {
 	w.tc.RunUser(tx, w.afterTx)
 }
 
-// transmit builds the response frame, hands it to the NIC, and re-enters
-// the poll loop.
+// transmit builds the response frame from the NIC's pool, hands it to
+// the NIC, and re-enters the poll loop. The worker is the request
+// frame's terminal consumer and returns it once OnServed has seen the
+// request message, whose body aliases the frame.
 //
 //lhlint:hotpath
 func (w *Worker) transmit() {
@@ -212,7 +215,7 @@ func (w *Worker) transmit() {
 	d := w.d
 	w.ipID++
 	dst := wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort}
-	frame, err := wire.BuildUDP(c.Local, dst, w.ipID, w.encScr)
+	frame, err := c.NIC.Frames.BuildUDP(c.Local, dst, w.ipID, w.encScr)
 	if err != nil {
 		panicTx(err)
 	}
@@ -226,6 +229,8 @@ func (w *Worker) transmit() {
 	if c.OnServed != nil {
 		c.OnServed(&w.msg)
 	}
+	c.NIC.Frames.Put(d.Frame)
+	w.d = nil
 	w.poll()
 }
 

@@ -249,3 +249,29 @@ func TestOversubscribedWorkersShareCore(t *testing.T) {
 		t.Errorf("rtts %v vs %v: expected one to wait a quantum", client.rtts[1], client.rtts[2])
 	}
 }
+
+// TestWorkerReturnsFrames: with a pool armed on the NIC, the worker
+// builds responses from it and returns each request frame it consumes,
+// served or malformed, after the response has left.
+func TestWorkerReturnsFrames(t *testing.T) {
+	s, _, w, client := rig(t, 0)
+	pool := new(wire.FramePool)
+	w.cfg.NIC.Frames = pool
+	for id, payload := range [][]byte{rpc.EncodeRequest(1, 1, 1, 0, []byte("ping")), []byte("garbage")} {
+		f, err := pool.BuildUDP(clientEP, serverEP, uint16(id), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.link.Send(client.side, f)
+	}
+	s.RunUntil(10 * sim.Millisecond)
+	if len(client.resps) != 1 || string(client.resps[0].Body) != "ping" {
+		t.Fatalf("responses %v", client.resps)
+	}
+	if st := w.Stats(); st.Served != 1 || st.BadRPC != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	if pool.Gets != 3 || pool.Puts != 2 {
+		t.Fatalf("pool gets=%d puts=%d, want 2 requests + 1 response built, 2 requests returned", pool.Gets, pool.Puts)
+	}
+}

@@ -766,6 +766,20 @@ func BuildE(sp Spec) (*Universe, error) {
 		h.attachLink(u, net)
 	}
 
+	// Every link and switch is built: hand out the frame pools, so the
+	// fabric returns the frames it drops.
+	if u.pools != nil {
+		for _, c := range u.Clients {
+			c.Link.SetPools(u.FramePool)
+		}
+		for _, h := range u.Hosts {
+			h.Link.SetPools(u.FramePool)
+		}
+		if u.Topo != nil {
+			u.Topo.SetPools(u.FramePool)
+		}
+	}
+
 	// Phase 4: services and workers, via each host's driver.
 	for _, h := range u.Hosts {
 		h.start(u)

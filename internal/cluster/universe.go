@@ -180,6 +180,7 @@ func newHost(u *Universe, spec *HostSpec, index int) *Host {
 		Sim: h.sim, HostName: spec.Name, Endpoint: h.EP, Cores: spec.Cores,
 		Services: svcs, NIC: spec.NIC,
 		Fabric: u.Spec.fabricInfo(len(u.Spec.Clients) + index),
+		Frames: u.pools[h.sim],
 	})
 	h.K = h.Inst.Kernel()
 	// Optional driver views: experiments reach for the concrete

@@ -40,7 +40,9 @@ type lhDriver struct {
 func newLHDriver(p stackdrv.HostParams, dmaThreshold int) *lhDriver {
 	cfg := DefaultHostConfig(p.Endpoint, p.Cores)
 	cfg.NIC.DMAThreshold = dmaThreshold
-	return &lhDriver{host: NewHost(p.Sim, cfg), services: p.Services}
+	h := NewHost(p.Sim, cfg)
+	h.NIC.Frames = p.Frames
+	return &lhDriver{host: h, services: p.Services}
 }
 
 func (d *lhDriver) Kernel() *kernel.Kernel              { return d.host.K }

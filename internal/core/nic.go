@@ -125,11 +125,14 @@ type methodInfo struct {
 
 // inflight tracks one request from decode to response transmit.
 type inflight struct {
-	serial   uint64
-	svc      uint32
-	method   uint16
-	rpcID    uint64
+	serial uint64
+	svc    uint32
+	method uint16
+	rpcID  uint64
+	// body aliases frame, the delivered request frame, which the entry
+	// holds until freeInflight returns it to the pool.
 	body     []byte
+	frame    []byte
 	client   wire.Endpoint
 	arriveAt sim.Time
 	// viaDMA marks a large request whose body was DMA'd to host memory
@@ -173,6 +176,13 @@ type recallPend struct {
 // the home agent for all control lines) and fabric.FramePort (it
 // terminates the Ethernet link).
 type NIC struct {
+	// Frames is the host's frame free list (nil where the universe arms
+	// no pools). The NIC builds every frame it transmits from it and
+	// returns every frame it terminally consumes: dropped frames, request
+	// frames once their inflight entry is freed, and nested-call
+	// responses once their body is copied.
+	Frames *wire.FramePool
+
 	sim *sim.Sim
 	cfg Config
 	dir *mesi.Directory
@@ -387,12 +397,17 @@ func (n *NIC) newInflight() *inflight {
 	return &inflight{}
 }
 
-// freeInflight recycles a finished request. Callers must guarantee no
-// reference survives — the DMA-response path, whose transmit closure
-// retains the request, never releases.
+// freeInflight recycles a finished request and returns its frame to
+// the pool. Callers must guarantee no reference survives — neither to
+// the entry nor to its body: the host copies inline and aux bytes when
+// a request is served, and a buffer dispatch's DMABody (the frame
+// itself) is dead once the response line has been recalled. The
+// DMA-response path, whose transmit closure retains the request, never
+// releases.
 //
 //lhlint:hotpath
 func (n *NIC) freeInflight(req *inflight) {
+	n.Frames.Put(req.frame)
 	*req = inflight{}
 	n.ifFree = append(n.ifFree, req)
 }
@@ -897,15 +912,18 @@ func (n *NIC) DeliverFrame(frame []byte) {
 	dec := &n.rxScr
 	if err := wire.ParseUDPInto(frame, &dec.d); err != nil {
 		n.stats.RxBad++
+		n.Frames.Put(frame)
 		return
 	}
 	if dec.d.IP.Dst != n.cfg.Local.IP {
 		// Switched fabrics flood frames for unlearned MACs; not ours.
 		n.stats.RxFiltered++
+		n.Frames.Put(frame)
 		return
 	}
 	if err := rpc.DecodeInto(dec.d.Payload, &dec.msg); err != nil {
 		n.stats.RxBad++
+		n.Frames.Put(frame)
 		return
 	}
 	lat := n.cfg.HeaderParse + n.cfg.DecodeFixed + sim.Time(len(dec.msg.Body))*n.cfg.DecodePerByte
@@ -926,7 +944,8 @@ func (n *NIC) DeliverFrame(frame []byte) {
 }
 
 // decoded is one packet staged by value between the decode pipeline and
-// dispatch; Datagram.Payload and Message.Body alias the delivered frame.
+// dispatch; Datagram.Payload and Message.Body alias the delivered frame,
+// Datagram.Frame.
 type decoded struct {
 	d   wire.Datagram
 	msg rpc.Message
@@ -950,7 +969,9 @@ func (n *NIC) decodeDone() {
 	if n.dispScr.msg.IsRequest() {
 		n.admit(&n.dispScr.d, &n.dispScr.msg)
 	} else {
+		// The call keeps a copy of the body, so the frame dies here.
 		n.deliverClientResponse(&n.dispScr.msg)
+		n.Frames.Put(n.dispScr.d.Frame)
 	}
 }
 
@@ -962,6 +983,7 @@ func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
 	ep := n.byPort[d.UDP.DstPort]
 	if ep == nil || ep.Svc != msg.Service {
 		n.stats.RxBad++
+		n.Frames.Put(d.Frame)
 		return
 	}
 	if _, ok := ep.methods[msg.Method]; !ok {
@@ -970,18 +992,21 @@ func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
 		n.stats.RxFrames++
 		n.txRPC(wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort},
 			rpc.EncodeResponse(msg.Service, msg.Method, msg.ID, rpc.StatusNoSuchMethod, nil))
+		n.Frames.Put(d.Frame)
 		return
 	}
 	n.stats.RxFrames++
-	// The body aliases the delivered frame: frames are allocated per send
-	// and never recycled, so the request can reference the payload in
-	// place for its whole inflight lifetime instead of copying it.
+	// The body aliases the delivered frame, which the inflight entry owns
+	// until freeInflight returns it to the pool, so the request references
+	// the payload in place for its whole inflight lifetime instead of
+	// copying it.
 	req := n.newInflight()
 	req.serial = n.nextSerial
 	req.svc = msg.Service
 	req.method = msg.Method
 	req.rpcID = msg.ID
 	req.body = msg.Body
+	req.frame = d.Frame
 	req.client = wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort}
 	req.arriveAt = n.sim.Now()
 	req.viaDMA = n.cfg.DMAThreshold > 0 && len(msg.Body) >= n.cfg.DMAThreshold
@@ -1094,7 +1119,7 @@ func (n *NIC) txRPC(dst wire.Endpoint, payload []byte) {
 		panic("core: NIC has no link")
 	}
 	n.ipID++
-	frame, err := wire.BuildUDP(n.cfg.Local, dst, n.ipID, payload)
+	frame, err := n.Frames.BuildUDP(n.cfg.Local, dst, n.ipID, payload)
 	if err != nil {
 		panic(fmt.Sprintf("core: tx: %v", err))
 	}
@@ -1118,6 +1143,7 @@ func (n *NIC) txFire() {
 	}
 	if !n.link.Up() {
 		n.stats.TxNoCarrier++
+		n.Frames.Put(frame)
 		return
 	}
 	n.stats.TxFrames++

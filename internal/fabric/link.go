@@ -137,6 +137,10 @@ type Link struct {
 	// first SendFlow so packet-only links pay a nil check at most; see
 	// flow.go.
 	flows [2]*flowState
+	// pools[i] is the frame free list of side i's Sim (nil where the
+	// universe arms no pools): the link is the terminal consumer of every
+	// frame it drops on side i, and returns it there.
+	pools [2]*wire.FramePool
 	// counters
 	frames  [2]uint64
 	bytes   [2]uint64
@@ -278,6 +282,7 @@ func (l *Link) send(from int, frame []byte) {
 	now := l.sims[from].Now()
 	if l.down[from] {
 		l.dropped[from]++
+		l.pools[from].Put(frame)
 		return
 	}
 	start := now
@@ -286,6 +291,7 @@ func (l *Link) send(from int, frame []byte) {
 	}
 	if l.params.QueueLimit > 0 && start-now > l.params.QueueLimit {
 		l.dropped[from]++ // tail drop: the queue is QueueLimit deep
+		l.pools[from].Put(frame)
 		return
 	}
 	if th := l.params.ECNThreshold; th > 0 {
@@ -422,6 +428,7 @@ func (l *Link) purgeQueued(from int) {
 		q[end] = delivery{}
 		l.sims[from].Cancel(d.ev)
 		l.dropped[from]++
+		l.pools[from].Put(d.frame)
 		l.txIdle[from] = d.txStart
 	}
 	if end == len(q) {
@@ -463,6 +470,13 @@ func (l *Link) Marked(from int) uint64 { return l.marked[from] }
 
 // MarkedTotal sums CE marks over both sides.
 func (l *Link) MarkedTotal() uint64 { return l.marked[0] + l.marked[1] }
+
+// SetPools hands the link each side's frame free list: poolOf maps a
+// side's Sim to its pool (nil for none). Call at build time, after
+// Split.
+func (l *Link) SetPools(poolOf func(*sim.Sim) *wire.FramePool) {
+	l.pools[0], l.pools[1] = poolOf(l.sims[0]), poolOf(l.sims[1])
+}
 
 // SetTap installs (or, with nil, removes) the transmit tap for one side.
 // Send offers every frame to the tap before any link processing; a false

@@ -42,6 +42,10 @@ type Switch struct {
 	// loop forever — real routed fabrics confine L2 broadcast the same
 	// way.
 	trunk map[int]bool
+	// pool is the frame free list of the switch's Sim (nil where the
+	// universe arms no pools). The switch returns the frames it drops to
+	// it, and floods a broadcast as one Clone per extra egress port.
+	pool *wire.FramePool
 
 	// Flooded counts frames sent out all ports for unknown destinations.
 	Flooded uint64
@@ -176,6 +180,10 @@ func (sw *Switch) MarkTrunk(port int) {
 	sw.trunk[port] = true
 }
 
+// SetPool hands the switch its Sim's frame free list (see the pool
+// field). Call at build time.
+func (sw *Switch) SetPool(p *wire.FramePool) { sw.pool = p }
+
 // SetDrain starts or stops draining: a draining switch discards every
 // frame it receives (counted in Dropped), modelling a maintenance drain
 // or a crashed switch.
@@ -252,13 +260,16 @@ func (sw *Switch) ecmpPickIn(group []int, fromPort int, frame []byte) int {
 }
 
 // ingress handles a frame arriving on fromPort: learn (unless routed),
-// then forward by destination, ECMP-route, or flood.
+// then forward by destination, ECMP-route, or flood. The switch is the
+// terminal consumer of every frame it drops.
 func (sw *Switch) ingress(fromPort int, frame []byte) {
 	if len(frame) < wire.EthernetHeaderLen {
+		sw.pool.Put(frame)
 		return
 	}
 	if sw.draining {
 		sw.Dropped++
+		sw.pool.Put(frame)
 		return
 	}
 	var dst, src wire.MAC
@@ -270,7 +281,8 @@ func (sw *Switch) ingress(fromPort int, frame []byte) {
 
 	if out, ok := sw.fdb[dst]; ok && dst != wire.BroadcastMAC {
 		if out == fromPort {
-			return // destination is behind the ingress port; drop
+			sw.pool.Put(frame) // destination is behind the ingress port; drop
+			return
 		}
 		sw.Forwarded++
 		sw.ports[out].link.Send(sw.ports[out].side, frame)
@@ -287,6 +299,7 @@ func (sw *Switch) ingress(fromPort int, frame []byte) {
 		out := sw.ecmpPickIn(group, fromPort, frame)
 		if out < 0 {
 			sw.Dropped++
+			sw.pool.Put(frame)
 			return
 		}
 		sw.ECMPForwarded++
@@ -294,13 +307,31 @@ func (sw *Switch) ingress(fromPort int, frame []byte) {
 		return
 	}
 	// Unknown destination (or broadcast): flood, but never out a trunk
-	// port (see the trunk field — cross-tier flooding would loop).
+	// port (see the trunk field — cross-tier flooding would loop). With a
+	// pool armed every egress port but the last gets its own Clone, made
+	// before the original leaves, so one buffer never reaches two
+	// consumers; without one the ports share the frame, as no consumer
+	// recycles it.
 	sw.Flooded++
+	last := -1
+	for i := range sw.ports {
+		if i != fromPort && !sw.trunk[i] {
+			last = i
+		}
+	}
+	if last < 0 {
+		sw.pool.Put(frame)
+		return
+	}
 	for i, p := range sw.ports {
 		if i == fromPort || sw.trunk[i] {
 			continue
 		}
-		p.link.Send(p.side, frame)
+		f := frame
+		if i != last && sw.pool != nil {
+			f = sw.pool.Clone(frame)
+		}
+		p.link.Send(p.side, f)
 	}
 }
 

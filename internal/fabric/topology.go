@@ -446,6 +446,18 @@ func (t *Topology) visitLinks(fn func(*Link)) {
 	}
 }
 
+// SetPools hands every switch and inter-switch link instantiated so far
+// its Sim's frame free list (see Link.SetPools). Call once every machine
+// has attached, so on-demand leaves and pods are covered.
+func (t *Topology) SetPools(poolOf func(*sim.Sim) *wire.FramePool) {
+	for _, tier := range [][]*Switch{t.Leaves, t.Spines, t.Cores} {
+		for _, sw := range tier {
+			sw.SetPool(poolOf(sw.sim))
+		}
+	}
+	t.visitLinks(func(l *Link) { l.SetPools(poolOf) })
+}
+
 // LookaheadBound returns the minimum lookahead (propagation + switching
 // delay) across every instantiated inter-switch link — the conservative
 // window width sharded execution may safely use. It returns sim.Never if

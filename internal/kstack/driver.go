@@ -48,7 +48,9 @@ func newDriver(p stackdrv.HostParams, cfg nicdma.Config) *driver {
 	}
 	cfg.Queues = p.Cores
 	cfg.FilterIP = p.Endpoint.IP
-	return &driver{k: k, nic: nicdma.New(p.Sim, cfg), local: p.Endpoint, services: p.Services}
+	nic := nicdma.New(p.Sim, cfg)
+	nic.Frames = p.Frames
+	return &driver{k: k, nic: nic, local: p.Endpoint, services: p.Services}
 }
 
 func (d *driver) Kernel() *kernel.Kernel              { return d.k }

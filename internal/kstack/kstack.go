@@ -125,9 +125,12 @@ func (st *Stack) softirq(core int, q *nicdma.RxQueue) {
 			sock, ok := st.sockets[d.UDP.DstPort]
 			if !ok {
 				st.NoSocketDrops++
+				st.NIC.Frames.Put(d.Frame)
 				continue
 			}
-			sock.queue.Push(d)
+			if !sock.queue.Push(d) {
+				st.NIC.Frames.Put(d.Frame)
+			}
 		}
 		q.EnableIRQ()
 	})
@@ -146,13 +149,13 @@ func (s *Socket) Recv(tc *kernel.TC, then func(tc *kernel.TC, d *wire.Datagram))
 
 // Send transmits payload to dst as a UDP datagram: sendmsg syscall costs
 // (header build + copy + descriptor + doorbell) on the calling thread,
-// then the NIC-side transmit.
+// then the NIC-side transmit. The frame comes from the NIC's pool.
 func (s *Socket) Send(tc *kernel.TC, dst wire.Endpoint, payload []byte, then func(tc *kernel.TC)) {
 	st := s.stack
 	st.ipID++
 	src := st.Local
 	src.Port = s.Port
-	frame, err := wire.BuildUDP(src, dst, st.ipID, payload)
+	frame, err := st.NIC.Frames.BuildUDP(src, dst, st.ipID, payload)
 	if err != nil {
 		panic(fmt.Sprintf("kstack: send: %v", err))
 	}
@@ -235,6 +238,8 @@ func (s *server) onPop(tc *kernel.TC, item any) {
 func (s *server) decode() {
 	if err := rpc.DecodeInto(s.d.Payload, &s.msg); err != nil {
 		// Malformed RPC: drop and continue serving.
+		s.cfg.Socket.stack.NIC.Frames.Put(s.d.Frame)
+		s.d = nil
 		s.loop()
 		return
 	}
@@ -279,8 +284,11 @@ func (s *server) encode() {
 	s.tc.RunUser(cfg.Codec.Marshal(len(s.respBody)), s.afterEncode)
 }
 
-// send builds the response frame and charges the sendmsg syscall; the
-// frame's ownership transfers to the NIC at transmit.
+// send builds the response frame from the pool and charges the sendmsg
+// syscall; the frame's ownership transfers to the NIC at transmit. The
+// server is the request frame's terminal consumer: once the response is
+// built, the destination has been read and encScr holds its own copy of
+// the response body, so the request frame goes back to the pool.
 //
 //lhlint:hotpath
 func (s *server) send() {
@@ -291,10 +299,12 @@ func (s *server) send() {
 	src := st.Local
 	src.Port = sock.Port
 	dst := wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort}
-	frame, err := wire.BuildUDP(src, dst, st.ipID, s.encScr)
+	frame, err := st.NIC.Frames.BuildUDP(src, dst, st.ipID, s.encScr)
 	if err != nil {
 		panicSend(err)
 	}
+	st.NIC.Frames.Put(d.Frame)
+	s.d = nil
 	s.frame = frame
 	cost := st.Costs.SendFixed + sim.Time(len(s.encScr))*st.Costs.SendCopyPerByte + st.NIC.DoorbellCost()
 	s.tc.Syscall(cost, s.sent)

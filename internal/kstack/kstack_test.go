@@ -220,3 +220,61 @@ func TestLargePayloadCopiesCostMore(t *testing.T) {
 		t.Errorf("1200B RTT %v not above 16B RTT %v", big, small)
 	}
 }
+
+// TestServerReturnsFrames: with a pool armed on the NIC, the server
+// builds its responses from the pool and returns every request frame it
+// terminally consumes — served, sent to an unbound port, or malformed.
+func TestServerReturnsFrames(t *testing.T) {
+	s, _, st, client := echoServer(t, 1, 0)
+	pool := new(wire.FramePool)
+	st.NIC.Frames = pool
+	send := func(port uint16, id uint64, payload []byte) {
+		dst := serverEP
+		dst.Port = port
+		f, err := pool.BuildUDP(clientEP, dst, uint16(id), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.link.Send(client.side, f)
+	}
+	send(9000, 1, rpc.EncodeRequest(1, 1, 1, 0, []byte("ping")))
+	send(9999, 2, rpc.EncodeRequest(1, 1, 2, 0, []byte("lost")))
+	send(9000, 3, []byte("garbage"))
+	s.RunUntil(10 * sim.Millisecond)
+	if len(client.responses) != 1 || string(client.responses[0].Body) != "ping" {
+		t.Fatalf("responses %v", client.responses)
+	}
+	if st.NoSocketDrops != 1 {
+		t.Fatalf("no-socket drops %d", st.NoSocketDrops)
+	}
+	if pool.Gets != 4 || pool.Puts != 3 {
+		t.Fatalf("pool gets=%d puts=%d, want 3 requests + 1 response built, 3 requests returned", pool.Gets, pool.Puts)
+	}
+	// The next request and its response recycle returned buffers.
+	hits := pool.Hits
+	send(9000, 4, rpc.EncodeRequest(1, 1, 4, 0, []byte("again")))
+	s.RunUntil(20 * sim.Millisecond)
+	if len(client.responses) != 2 || string(client.responses[1].Body) != "again" || pool.Hits != hits+2 {
+		t.Fatalf("second round: %d responses, hits %d -> %d", len(client.responses), hits, pool.Hits)
+	}
+	// A burst past a one-deep socket buffer overflows it; every
+	// overflowed request frame comes back too.
+	st.sockets[9000].queue.MaxDepth = 1
+	const burst = 16
+	for i := 0; i < burst; i++ {
+		send(9000, uint64(10+i), rpc.EncodeRequest(1, 1, uint64(10+i), 0, []byte("burst")))
+	}
+	s.RunUntil(30 * sim.Millisecond)
+	dropped := int(st.sockets[9000].queue.Dropped)
+	if dropped == 0 {
+		t.Fatal("burst did not overflow the socket buffer")
+	}
+	served := len(client.responses) - 2
+	if served+dropped != burst {
+		t.Fatalf("burst: %d served + %d dropped, want %d", served, dropped, burst)
+	}
+	// 4+16 requests and 2+served responses built; every request returned.
+	if pool.Gets != uint64(4+burst+2+served) || pool.Puts != uint64(3+1+burst) {
+		t.Fatalf("after burst: pool gets=%d puts=%d (served %d, dropped %d)", pool.Gets, pool.Puts, served, dropped)
+	}
+}

@@ -206,6 +206,12 @@ type rxPend struct {
 // NIC is the device model. It implements fabric.FramePort for the receive
 // direction.
 type NIC struct {
+	// Frames is the host's frame free list (nil where the universe arms
+	// no pools). The NIC returns to it every frame it drops — bad,
+	// filtered, ring-full, or offered toward a downed carrier — and the
+	// host stack builds its frames from it.
+	Frames *wire.FramePool
+
 	sim   *sim.Sim
 	cfg   Config
 	link  *fabric.Link
@@ -296,12 +302,12 @@ func (p *rxPend) step() {
 		d, err := wire.ParseUDP(p.frame)
 		if err != nil {
 			n.stats.RxBadFrames++
-			p.release()
+			p.drop()
 			return
 		}
 		if n.cfg.FilterIP != (wire.IP{}) && d.IP.Dst != n.cfg.FilterIP {
 			n.stats.RxFiltered++
-			p.release()
+			p.drop()
 			return
 		}
 		if n.cfg.SteerByPort {
@@ -311,7 +317,7 @@ func (p *rxPend) step() {
 		}
 		if len(p.q.ring) >= n.cfg.RingSize {
 			n.stats.RxDropped++
-			p.release()
+			p.drop()
 			return
 		}
 		// DMA payload into a host buffer, then write the completion
@@ -322,17 +328,27 @@ func (p *rxPend) step() {
 		dma := n.cfg.Fabric.DMATransfer(len(p.frame)) + n.cfg.Fabric.DMAWrite
 		n.sim.After(dma, "nicdma-rx-dma", p.fire)
 	case 2:
-		q, d := p.q, p.d
-		p.release()
-		if len(q.ring) >= n.cfg.RingSize {
+		if len(p.q.ring) >= n.cfg.RingSize {
 			n.stats.RxDropped++
+			p.drop()
 			return
 		}
+		q, d := p.q, p.d
+		p.release()
 		q.ring = append(q.ring, d)
 		n.stats.RxFrames++
 		q.raiseIRQ()
 		q.notifyArrival()
 	}
+}
+
+// drop discards the entry's frame — the NIC is its terminal consumer —
+// and releases the entry.
+//
+//lhlint:hotpath
+func (p *rxPend) drop() {
+	p.n.Frames.Put(p.frame)
+	p.release()
 }
 
 // release returns the entry to the NIC's free list.
@@ -360,6 +376,7 @@ func (n *NIC) Transmit(frame []byte) {
 		// The driver's carrier check (netif_carrier_ok): a frame offered
 		// toward a downed link is dropped before any DMA is spent on it.
 		n.stats.TxNoCarrier++
+		n.Frames.Put(frame)
 		return
 	}
 	// Serialize the TX DMA engine.

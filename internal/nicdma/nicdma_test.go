@@ -364,3 +364,55 @@ func TestFilterIPDropsForeignFrames(t *testing.T) {
 		t.Fatal("unfiltered NIC dropped a frame")
 	}
 }
+
+// TestDropsReturnFrames: with a pool armed, the NIC is the terminal
+// consumer of every frame it drops — bad, filtered, ring-full at either
+// stage, and offered toward a downed carrier — and returns each one,
+// while the frames it queues stay intact.
+func TestDropsReturnFrames(t *testing.T) {
+	s := sim.New(1)
+	cfg := DefaultConfig()
+	cfg.RingSize = 4
+	cfg.FilterIP = dst.IP
+	n := New(s, cfg)
+	pool := new(wire.FramePool)
+	n.Frames = pool
+	build := func(to wire.Endpoint) []byte {
+		f, err := pool.BuildUDP(src, to, 1, []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	bad := build(dst)
+	bad[20] ^= 0xff
+	n.DeliverFrame(bad)
+	foreign := dst
+	foreign.IP = wire.IP{10, 0, 0, 99}
+	n.DeliverFrame(build(foreign))
+	for i := 0; i < 10; i++ {
+		n.DeliverFrame(build(dst))
+	}
+	s.Run()
+	st := n.Stats()
+	if st.RxBadFrames != 1 || st.RxFiltered != 1 || st.RxDropped != 6 || st.RxFrames != 4 {
+		t.Fatalf("stats %+v", st)
+	}
+	if pool.Puts != 8 {
+		t.Fatalf("pool got %d frames back, want 8 drops", pool.Puts)
+	}
+	for d := n.Queue(0).Poll(); d != nil; d = n.Queue(0).Poll() {
+		if string(d.Payload) != "x" {
+			t.Fatalf("queued frame clobbered: payload %q", d.Payload)
+		}
+	}
+
+	l := fabric.NewLink(s, fabric.Net100G)
+	l.Attach(n, &portSink{s: s})
+	n.AttachLink(l, 0)
+	l.SetUp(false)
+	n.Transmit(build(dst))
+	if n.Stats().TxNoCarrier != 1 || pool.Puts != 9 {
+		t.Fatalf("no-carrier drop: stats %+v, puts %d", n.Stats(), pool.Puts)
+	}
+}

@@ -11,7 +11,9 @@ import (
 // the request body and returns the response body plus the simulated CPU
 // time the handler itself consumes (the "service time"). Unmarshalling
 // cost is charged separately by the receive path, because which component
-// pays it is precisely the paper's point.
+// pays it is precisely the paper's point. req may alias the request
+// frame, which the stack recycles once the response is encoded: a
+// handler that keeps request bytes past its return must copy them.
 type Handler func(req []byte) (resp []byte, serviceTime sim.Time)
 
 // MethodDesc describes one callable method of a service.

@@ -120,6 +120,10 @@ type HostParams struct {
 	// Fabric places the host in the cluster's switch fabric. It is set
 	// both at validation time (Check) and at provisioning time (New).
 	Fabric FabricInfo
+	// Frames is the host Sim's frame free list, nil where the universe
+	// does not arm pools. Drivers build every frame from it and return
+	// the frames their host terminally consumes (see wire.FramePool).
+	Frames *wire.FramePool
 }
 
 // Instance is one provisioned host-side stack. The cluster builder calls

@@ -159,8 +159,9 @@ func (t *retryT) putPend(pr *retryPend) {
 }
 
 // timeout fires when a request's RTO expires with no response:
-// retransmit a fresh copy of the master frame (donated to the wire via
-// Inject) and back off, or give up once the budget is spent.
+// retransmit a pooled Clone of the master frame (donated to the wire via
+// Inject, so its terminal consumer returns it) and back off, or give up
+// once the budget is spent.
 //
 //lhlint:hotpath
 func (pr *retryPend) timeout() {
@@ -173,9 +174,7 @@ func (pr *retryPend) timeout() {
 	}
 	pr.tries++
 	t.st.Retransmits++
-	dup := t.bufs.get(len(pr.master))
-	copy(dup, pr.master)
-	t.link.Inject(t.side, dup)
+	t.link.Inject(t.side, t.p.Pool.Clone(pr.master))
 	pr.rto *= retryBackoff
 	pr.ev = t.p.Sim.After(pr.rto, "transport-retry-rto", pr.fire)
 }
@@ -215,7 +214,8 @@ func (t *retryT) completeRequest() {
 
 // filterDup reports whether an inbound request should reach the
 // service. Duplicates of in-service requests are suppressed; duplicates
-// of answered requests are replayed from the cache.
+// of answered requests are replayed from the cache as a pooled Clone.
+// Either way the transport is the duplicate's terminal consumer.
 //
 //lhlint:hotpath
 func (t *retryT) filterDup(frame []byte) bool {
@@ -227,10 +227,7 @@ func (t *retryT) filterDup(frame []byte) bool {
 		return false
 	case dupDone:
 		t.st.Replays++
-		resp := t.cache[k]
-		out := t.bufs.get(len(resp))
-		copy(out, resp)
-		t.link.Inject(t.side, out)
+		t.link.Inject(t.side, t.p.Pool.Clone(t.cache[k]))
 		t.p.Pool.Put(frame)
 		return false
 	}

@@ -252,13 +252,18 @@ type reqKey struct {
 // bufList is a byte-slice free list for the frame copies transports
 // keep (retransmit masters, cached responses) — the same shape as
 // wire.FramePool but private, so transport copies never mingle with
-// the wire-ownership pool.
+// the wire-ownership pool. Copies that go to the wire are FramePool
+// Clones instead.
 type bufList struct {
 	free [][]byte
 }
 
-// get pops a buffer of length n, allocating at access-link frame
-// capacity on a miss so the list converges on copies that fit.
+// get pops a buffer of length n, allocating exactly n on a miss. A
+// popped buffer too small for n is dropped, so when an endpoint keeps
+// copies of mixed sizes the list converges on its largest size; misses
+// stop once the list holds enough of those. Full-frame capacity on a
+// miss would instead make every kept copy a 9 KiB buffer, whatever
+// the frame it holds.
 //
 //lhlint:hotpath
 func (b *bufList) get(n int) []byte {
@@ -270,11 +275,7 @@ func (b *bufList) get(n int) []byte {
 			return f[:n]
 		}
 	}
-	c := n
-	if c < wire.MaxFrameLen {
-		c = wire.MaxFrameLen
-	}
-	return make([]byte, n, c)
+	return make([]byte, n)
 }
 
 // put returns a dead buffer to the free list.

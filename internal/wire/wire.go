@@ -262,8 +262,11 @@ func BuildUDP(src, dst Endpoint, ipID uint16, payload []byte) ([]byte, error) {
 	return f, nil
 }
 
-// fillUDP writes the frame into f, which must be zeroed and exactly
-// paddedLen(len(payload)) long.
+// fillUDP writes the frame into f, which must be exactly
+// paddedLen(len(payload)) long. Every byte is written — header fields
+// that are zero (TOS, flags/fragment offset, the checksum words before
+// they are summed) and the minimum-frame padding included — so f may
+// hold any previous contents: a recycled buffer needs no clearing.
 //
 //lhlint:hotpath
 func fillUDP(f []byte, src, dst Endpoint, ipID uint16, payload []byte) {
@@ -275,11 +278,14 @@ func fillUDP(f []byte, src, dst Endpoint, ipID uint16, payload []byte) {
 	// IPv4.
 	ip := f[EthernetHeaderLen:]
 	ip[0] = 0x45 // version 4, IHL 5
+	ip[1] = 0    // TOS
 	totalLen := IPv4HeaderLen + UDPHeaderLen + len(payload)
 	binary.BigEndian.PutUint16(ip[2:4], uint16(totalLen))
 	binary.BigEndian.PutUint16(ip[4:6], ipID)
-	ip[8] = 64 // TTL
+	binary.BigEndian.PutUint16(ip[6:8], 0) // flags, fragment offset
+	ip[8] = 64                             // TTL
 	ip[9] = ProtoUDP
+	binary.BigEndian.PutUint16(ip[10:12], 0)
 	copy(ip[12:16], src.IP[:])
 	copy(ip[16:20], dst.IP[:])
 	binary.BigEndian.PutUint16(ip[10:12], Checksum(ip[:IPv4HeaderLen]))
@@ -290,7 +296,9 @@ func fillUDP(f []byte, src, dst Endpoint, ipID uint16, payload []byte) {
 	binary.BigEndian.PutUint16(udp[2:4], dst.Port)
 	udpLen := UDPHeaderLen + len(payload)
 	binary.BigEndian.PutUint16(udp[4:6], uint16(udpLen))
+	binary.BigEndian.PutUint16(udp[6:8], 0)
 	copy(udp[UDPHeaderLen:], payload)
+	clear(udp[udpLen:]) // minimum-frame padding
 	binary.BigEndian.PutUint16(udp[6:8], udpChecksum(src.IP, dst.IP, udp[:udpLen]))
 }
 
@@ -301,13 +309,16 @@ func errTooBig(n int) error {
 }
 
 // Datagram is a fully parsed UDP-in-IPv4-in-Ethernet frame. Payload aliases
-// the frame buffer.
+// the frame buffer, which Frame holds whole, so a terminal consumer that
+// kept only the parsed datagram can still return the frame to its
+// FramePool.
 type Datagram struct {
 	Eth     EthernetHeader
 	IP      IPv4Header
 	UDP     UDPHeader
 	Flow    Flow
 	Payload []byte
+	Frame   []byte
 }
 
 // ParseUDP validates and parses a frame produced by BuildUDP (or any
@@ -324,10 +335,12 @@ func ParseUDP(frame []byte) (*Datagram, error) {
 // ParseUDPInto parses frame into d, which the caller owns (typically a
 // reusable staging slot, so the steady-state receive path allocates
 // nothing). On error d holds whatever fields were decoded before the
-// failure. Payload aliases frame either way.
+// failure. Frame is set to frame before any check, and Payload aliases
+// frame either way.
 //
 //lhlint:hotpath
 func ParseUDPInto(frame []byte, d *Datagram) error {
+	d.Frame = frame
 	if len(frame) < HeadersLen {
 		return ErrTruncated
 	}
