@@ -13,23 +13,21 @@ import (
 	"runtime"
 	"time"
 
-	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/experiments"
 	"lauberhorn/internal/sim"
 )
 
-// benchSchema names the current BENCH_sim.json layout. v4 adds the
-// fluid section: event counts for the long-transfer background scenario
-// (experiments.FluidScenario) run per-packet and with fluid-flow
-// aggregation, whose >=5x event cut TestFluidAggregationReducesEvents
-// pins. v3 added the sharding section (per-shard-count wall time and
-// events/sec over the pinned e20 universe, with speedup vs serial) and
-// records the -shards override the experiment section ran under. v2
-// added the -benchreps sample count and restricted the totals to
-// metered experiments (events_fired > 0): analytic experiments report
-// no simulator events and would otherwise dilute the events/sec
-// aggregate the ratchet gates on.
-const benchSchema = "lauberhorn-bench/v4"
+// benchSchema names the current BENCH_sim.json layout. v5 drops the
+// sharding section and the shards field, which v3 added, along with
+// sharded execution. v4 added the fluid section: event counts for the
+// long-transfer background scenario (experiments.FluidScenario) run
+// per-packet and with fluid-flow aggregation, whose >=5x event cut
+// TestFluidAggregationReducesEvents pins. v2 added the -benchreps sample
+// count and restricted the totals to metered experiments
+// (events_fired > 0): analytic experiments report no simulator events
+// and would otherwise dilute the events/sec aggregate the ratchet gates
+// on.
+const benchSchema = "lauberhorn-bench/v5"
 
 // benchFile is the top-level BENCH_sim.json shape.
 type benchFile struct {
@@ -42,23 +40,10 @@ type benchFile struct {
 	Workers int `json:"workers"`
 	// Reps is the -benchreps sample count; per-experiment wall times are
 	// the minimum over Reps runs.
-	Reps int `json:"reps"`
-	// Shards is the -shards override the experiment section ran under
-	// (0 = serial). Tables are byte-identical either way; only wall
-	// times can differ.
-	Shards      int               `json:"shards"`
+	Reps        int               `json:"reps"`
 	Queue       benchQueue        `json:"queue"`
 	Experiments []benchExperiment `json:"experiments"`
 	Totals      benchTotals       `json:"totals"`
-	// Sharding times the pinned e20 universe (experiments.E20Spec) at
-	// each shard count the experiment sweeps, on this host. Results are
-	// identical across rows by construction (pinned by TestE20Claims);
-	// the rows record what the identical runs cost. Speedup is relative
-	// to the serial row and is bounded by the "cpus" field: shard
-	// workers are real goroutines, so a single-core host shows ~1.0x
-	// (window-barrier overhead included) and the >=2.5x target needs
-	// >= 4 usable cores.
-	Sharding []benchShard `json:"sharding"`
 	// Fluid records the representation-switch scenario: the same
 	// long-transfer background workload run per-packet and with >=64 KiB
 	// transfers as fluid flows. Both counts are deterministic (pure
@@ -75,16 +60,6 @@ type benchFluid struct {
 	FluidEvents  uint64  `json:"fluid_events"`
 	EventCutX    float64 `json:"event_cut_x"`
 	Bytes        int64   `json:"bytes"`
-}
-
-// benchShard is one sharding-throughput row.
-type benchShard struct {
-	Shards          int     `json:"shards"`
-	Sims            int     `json:"sims"`
-	WallMS          float64 `json:"wall_ms"`
-	EventsFired     uint64  `json:"events_fired"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 }
 
 // benchQueue is the event-queue microbenchmark section: the same two hot
@@ -165,39 +140,6 @@ func benchFanOut() (eventsPerSec float64) {
 	return float64(fired) / time.Since(start).Seconds()
 }
 
-// benchSharding times the pinned e20 universe at each shard count,
-// best-of-reps per row. The build is outside the timed region (it is
-// identical across modes); the timed region is exactly the RunMeasured
-// the e20 table pins.
-func benchSharding(reps int) []benchShard {
-	var out []benchShard
-	for _, shards := range experiments.E20ShardCounts() {
-		row := benchShard{Shards: shards}
-		for i := 0; i < reps; i++ {
-			u := cluster.Build(experiments.E20Spec(shards))
-			warm, dur := experiments.E20Window()
-			start := time.Now()
-			u.RunMeasured(warm, dur)
-			wall := time.Since(start)
-			if i == 0 || wall.Seconds()*1000 < row.WallMS {
-				row.WallMS = float64(wall.Microseconds()) / 1000
-			}
-			row.Sims = len(u.Sims)
-			row.EventsFired = u.EventsFired()
-		}
-		if row.WallMS > 0 {
-			row.EventsPerSec = float64(row.EventsFired) / (row.WallMS / 1000)
-		}
-		if serial := out; len(serial) > 0 && row.WallMS > 0 {
-			row.SpeedupVsSerial = serial[0].WallMS / row.WallMS
-		} else {
-			row.SpeedupVsSerial = 1
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
 // benchFluidSection runs the long-transfer scenario per-packet and
 // fluid and records the event cut. One rep suffices: both runs are
 // deterministic, so the numbers carry no host noise. Delivered-byte
@@ -218,7 +160,7 @@ func benchFluidSection() benchFluid {
 // (the analytic tables) are listed but kept out of the totals: they would
 // add wall time with zero events and drag the aggregate events/sec the
 // ratchet gates on toward noise.
-func buildBench(workers, reps, shards int, results []experiments.Result) benchFile {
+func buildBench(workers, reps int, results []experiments.Result) benchFile {
 	f := benchFile{
 		Schema:  benchSchema,
 		Go:      runtime.Version(),
@@ -227,9 +169,7 @@ func buildBench(workers, reps, shards int, results []experiments.Result) benchFi
 		CPUs:    runtime.NumCPU(),
 		Workers: workers,
 		Reps:    reps,
-		Shards:  shards,
 	}
-	f.Sharding = benchSharding(reps)
 	f.Fluid = benchFluidSection()
 	// The queue microbenchmarks follow the same min-of-N (best-of-N for
 	// throughput) discipline as the experiment wall times: a single sample

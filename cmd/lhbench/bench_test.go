@@ -22,7 +22,7 @@ func TestWriteBench(t *testing.T) {
 	}
 	results := (&experiments.Runner{Workers: 1}).Run(exps)
 	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
-	if err := writeBench(path, buildBench(1, 1, 0, results)); err != nil {
+	if err := writeBench(path, buildBench(1, 1, results)); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -61,31 +61,5 @@ func TestWriteBench(t *testing.T) {
 	}
 	if f.Totals.Experiments != 1 || f.Totals.EventsFired != e.EventsFired {
 		t.Errorf("totals inconsistent with rows: %+v", f.Totals)
-	}
-	// The sharding section: one row per e20 shard count, serial first,
-	// with identical event counts (the determinism contract) and real
-	// per-row timing.
-	counts := experiments.E20ShardCounts()
-	if len(f.Sharding) != len(counts) {
-		t.Fatalf("sharding section has %d rows, want %d", len(f.Sharding), len(counts))
-	}
-	for i, row := range f.Sharding {
-		if row.Shards != counts[i] {
-			t.Errorf("sharding row %d covers %d shards, want %d", i, row.Shards, counts[i])
-		}
-		wantSims := 1
-		if counts[i] > 0 {
-			wantSims = counts[i] + 1
-		}
-		if row.Sims != wantSims {
-			t.Errorf("sharding row %d ran %d sims, want %d", i, row.Sims, wantSims)
-		}
-		if row.EventsFired != f.Sharding[0].EventsFired {
-			t.Errorf("sharding row %d fired %d events, serial fired %d — determinism broken",
-				i, row.EventsFired, f.Sharding[0].EventsFired)
-		}
-		if row.WallMS <= 0 || row.EventsPerSec <= 0 || row.SpeedupVsSerial <= 0 {
-			t.Errorf("sharding row %d not timed: %+v", i, row)
-		}
 	}
 }

@@ -12,8 +12,6 @@
 //	lhbench -bench fresh.json -ratchet BENCH_sim.json
 //	                               # fail if fresh throughput regressed >10%
 //	                               # against the committed baseline
-//	lhbench -run all -shards 4     # same tables, spine-leaf universes
-//	                               # partitioned across 4 shard simulators
 //	lhbench -run e15 -transport credit
 //	                               # rerun a cluster experiment with a
 //	                               # transport scheme on every endpoint
@@ -116,8 +114,6 @@ func main() {
 		"compare the fresh -bench snapshot against this committed baseline and fail on >10% aggregate events/sec regression")
 	benchReps := flag.Int("benchreps", 3,
 		"with -bench: run the experiment set N times and record min wall time per experiment (noise floor for the ratchet)")
-	shards := flag.Int("shards", 0,
-		"partition every spine-leaf experiment universe into N shards under conservative time windows (0 = serial); tables are byte-identical either way")
 	transportName := flag.String("transport", "raw",
 		"transport scheme for every cluster experiment: "+transportNames()+" (e21/e22 sweep the full matrix regardless)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this path")
@@ -137,12 +133,6 @@ func main() {
 		fmt.Print(listText())
 		return
 	}
-
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "lhbench: -shards must be >= 0, got %d\n", *shards)
-		os.Exit(1)
-	}
-	experiments.SetShards(*shards)
 
 	tr, ok := transport.ByName(strings.ToLower(*transportName))
 	if !ok {
@@ -228,7 +218,7 @@ func main() {
 				}
 			}
 		}
-		fresh := buildBench(*parallel, *benchReps, *shards, results)
+		fresh := buildBench(*parallel, *benchReps, results)
 		if err := writeBench(*benchOut, fresh); err != nil {
 			fmt.Fprintf(os.Stderr, "lhbench: writing %s: %v\n", *benchOut, err)
 			os.Exit(1)

@@ -98,7 +98,7 @@ func TestBuildBenchExcludesUnmeteredTotals(t *testing.T) {
 		{Experiment: experiments.Experiment{ID: "e5", Title: "analytic"},
 			Wall: 900 * time.Millisecond},
 	}
-	f := buildBench(1, 2, 0, results)
+	f := buildBench(1, 2, results)
 	if f.Reps != 2 {
 		t.Errorf("reps = %d, want 2", f.Reps)
 	}
@@ -125,5 +125,28 @@ func TestCompareBenchMissingBaselineEntries(t *testing.T) {
 	failures, notes := compareBench(base, fresh, 0.10)
 	if len(failures) != 0 || len(notes) != 0 {
 		t.Fatalf("zero/missing baseline entries must be skipped, got failures=%v notes=%v", failures, notes)
+	}
+}
+
+// TestRatchetLoadsCommittedBaseline: CI ratchets a fresh snapshot
+// against the committed BENCH_sim.json, so that file must carry the
+// current schema and list only registered experiments.
+func TestRatchetLoadsCommittedBaseline(t *testing.T) {
+	f, err := loadBench("../../BENCH_sim.json")
+	if err != nil {
+		t.Fatalf("committed baseline rejected: %v", err)
+	}
+	if len(f.Experiments) == 0 || f.Totals.EventsPerSec <= 0 {
+		t.Fatalf("committed baseline is empty: %d experiments, %v events/sec",
+			len(f.Experiments), f.Totals.EventsPerSec)
+	}
+	registered := make(map[string]bool)
+	for _, e := range experiments.All() {
+		registered[e.ID] = true
+	}
+	for _, e := range f.Experiments {
+		if !registered[e.ID] {
+			t.Errorf("committed baseline lists unregistered experiment %q", e.ID)
+		}
 	}
 }

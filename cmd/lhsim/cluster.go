@@ -17,7 +17,6 @@ type clusterOpts struct {
 	transport cluster.Transport
 	hosts     int // server count (= client count)
 	spines    int
-	shards    int // shard simulators (0 = serial)
 	cores     int
 	services  int // services per server
 	seed      uint64
@@ -42,7 +41,6 @@ func runCluster(o clusterOpts) {
 	sp := cluster.Spec{
 		Seed:      o.seed,
 		Fabric:    cluster.FabricSpec{Spines: o.spines, LeafPorts: 4},
-		Shards:    o.shards,
 		Transport: o.transport,
 	}
 	var pop *workload.Zipf
@@ -91,10 +89,6 @@ func runCluster(o clusterOpts) {
 	lat := u.MergedLatency()
 	fmt.Printf("stack: %s   fabric: %v   arrivals: %s @ %.0f rps x %d clients   window: %v\n",
 		u.Hosts[0].Label, u.Topo, o.arrivals(), o.rate, o.hosts, o.dur)
-	if u.Sharded() {
-		fmt.Printf("shards: %d simulators + hub, conservative time windows (results identical to serial)\n",
-			len(u.Sims)-1)
-	}
 	if o.flap {
 		fmt.Printf("fault: uplink leaf0:spine0 flapping (3 cycles inside the window)\n")
 	}
@@ -107,8 +101,8 @@ func runCluster(o clusterOpts) {
 		u.TotalMeasuredSent(), u.TotalMeasuredServed(), lat.Count(), u.DroppedFrames())
 	fmt.Printf("latency: %s\n", lat.Summary(float64(sim.Microsecond), "us"))
 	fmt.Printf("spine uplink frames: %v\n", u.Topo.UplinkFrames())
-	fmt.Printf("simulator: %d events fired across %d sims in %v — %.1fM events/sec\n",
-		u.EventsFired(), len(u.Sims), wall.Round(time.Millisecond),
+	fmt.Printf("simulator: %d events fired in %v — %.1fM events/sec\n",
+		u.EventsFired(), wall.Round(time.Millisecond),
 		float64(u.EventsFired())/wall.Seconds()/1e6)
 	if o.telemetry {
 		if lh := u.Hosts[0].LH; lh != nil {

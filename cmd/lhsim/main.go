@@ -17,12 +17,6 @@
 //	lhsim -stack kernel -hosts 8 -spines 4 -rate 20000
 //	lhsim -stack lauberhorn -hosts 4 -size 4096 -flap
 //
-// -shards N partitions the cluster along its leaf boundaries into N
-// shard simulators plus a hub, synchronized by conservative time
-// windows; the printed results are byte-identical to a serial run:
-//
-//	lhsim -stack lauberhorn -hosts 16 -shards 4
-//
 // -transport interposes a transport scheme (retry, ecn, or credit; see
 // internal/transport) on every endpoint of the -hosts cluster:
 //
@@ -127,8 +121,6 @@ func main() {
 	churn := flag.Duration("churn", 0, "rotate the hot service set at this period (0 = stable)")
 	hosts := flag.Int("hosts", 1, "server count; > 1 runs a spine-leaf cluster with as many clients")
 	spines := flag.Int("spines", 2, "spine switches of the -hosts cluster fabric")
-	shards := flag.Int("shards", 0,
-		"partition the -hosts cluster into N shard simulators under conservative time windows (0 = serial; results are byte-identical)")
 	arrivals := flag.String("arrivals", "poisson",
 		"arrival process at the -rate mean: poisson | mmpp (burst states at 1/3x and 5/3x) | diurnal (1ms rate curve at 1/3x and 5/3x)")
 	flap := flag.Bool("flap", false, "flap uplink leaf0:spine0 during the -hosts cluster window")
@@ -157,10 +149,6 @@ func main() {
 			*stack, strings.Join(stackNames(), ", "))
 		os.Exit(1)
 	}
-	if *shards > 0 && *hosts <= 1 {
-		fmt.Fprintln(os.Stderr, "lhsim: -shards needs a -hosts cluster (sharding splits a fabric at leaf boundaries)")
-		os.Exit(1)
-	}
 	tr, trOK := transport.ByName(strings.ToLower(*transportName))
 	if !trOK {
 		fmt.Fprintf(os.Stderr, "lhsim: unknown transport %q (registered: %s)\n",
@@ -174,7 +162,7 @@ func main() {
 	if *hosts > 1 {
 		runCluster(clusterOpts{
 			kind: kind, transport: tr.Kind,
-			hosts: *hosts, spines: *spines, shards: *shards, cores: *cores,
+			hosts: *hosts, spines: *spines, cores: *cores,
 			services: *services, seed: *seed, rate: *rate, serviceTime: st,
 			arrivals: mkArr,
 			size:     sz, zipf: *zipf, flap: *flap, telemetry: *telemetry,

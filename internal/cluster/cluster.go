@@ -31,7 +31,6 @@ import (
 	"lauberhorn/internal/nicdma"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
-	"lauberhorn/internal/sim/shard"
 	"lauberhorn/internal/stackdrv"
 	_ "lauberhorn/internal/stackdrv/builtin"
 	"lauberhorn/internal/transport"
@@ -290,17 +289,6 @@ type Spec struct {
 	// one point-to-point link with no switch — the original rig topology.
 	// It requires exactly one host and one client.
 	Direct bool
-	// Shards > 1 partitions the universe along the fabric's leaf
-	// boundaries for parallel execution: leaf l — its switch, its
-	// machines, their access links — lives on shard Sim l mod Shards,
-	// while spines and cores stay on the hub Sim; inter-shard uplinks
-	// exchange frames through conservative-lookahead channels
-	// (internal/sim/shard). A sharded universe produces byte-identical
-	// results to Shards == 0: partitioning is an execution detail, not a
-	// model change. Requires a spine-leaf fabric with positive uplink
-	// lookahead and no InheritRNG clients; the shard count is clamped to
-	// the leaf count.
-	Shards int
 }
 
 // fabricKind names the fabric shape for stackdrv.FabricInfo.
@@ -438,9 +426,6 @@ func (sp *Spec) Validate() error {
 	if err := sp.validateFabric(); err != nil {
 		return err
 	}
-	if err := sp.validateShards(); err != nil {
-		return err
-	}
 	if err := sp.validateFaults(); err != nil {
 		return err
 	}
@@ -567,43 +552,6 @@ func (sp *Spec) validateFabric() error {
 	return nil
 }
 
-// validateShards checks the sharding request against the fabric and the
-// clients. Sharding partitions along leaf boundaries and synchronizes on
-// uplink lookahead, so it needs a spine-leaf fabric whose uplinks carry
-// nonzero propagation+switching delay; InheritRNG clients are banned
-// because they split the (per-shard) simulator RNG in construction
-// order, which no longer matches the serial stream.
-func (sp *Spec) validateShards() error {
-	if sp.Shards < 0 {
-		return fmt.Errorf("cluster: negative shard count %d", sp.Shards)
-	}
-	if sp.Shards <= 1 {
-		return nil
-	}
-	if sp.Fabric.Spines <= 0 {
-		return fmt.Errorf("cluster: Shards=%d needs a spine-leaf fabric (sharding splits at leaf boundaries)",
-			sp.Shards)
-	}
-	up := sp.Fabric.Uplink
-	if up.Bandwidth == 0 {
-		up = sp.Net
-		if up.Bandwidth == 0 {
-			up = fabric.Net100G
-		}
-	}
-	if up.Lookahead() <= 0 {
-		return fmt.Errorf("cluster: sharding needs positive uplink lookahead (PropDelay+SwitchDelay), got %v",
-			up.Lookahead())
-	}
-	for i := range sp.Clients {
-		if sp.Clients[i].InheritRNG {
-			return fmt.Errorf("cluster: client %q sets InheritRNG, which a sharded build cannot reproduce",
-				sp.Clients[i].Name)
-		}
-	}
-	return nil
-}
-
 // validateFaults checks every FaultSpec's target and schedule.
 func (sp *Spec) validateFaults() error {
 	if len(sp.Faults) == 0 {
@@ -715,27 +663,11 @@ func BuildE(sp Spec) (*Universe, error) {
 	u := &Universe{S: s, Spec: sp, byName: make(map[string]*Host, len(sp.Hosts))}
 	u.Sims = []*sim.Sim{s}
 
-	// Sharded build: one extra Sim per shard, all seeded identically (the
-	// only sim-RNG consumer, InheritRNG, is banned under sharding, so the
-	// streams are never drawn anyway). The hub Sim u.S keeps the spines
-	// and cores; Sims lists shards first, hub last.
-	if shards := sp.effectiveShards(); shards > 0 {
-		u.shardSims = make([]*sim.Sim, shards)
-		for i := range u.shardSims {
-			u.shardSims[i] = sim.New(sp.Seed)
-		}
-		u.Sims = append(append([]*sim.Sim{}, u.shardSims...), s)
-		u.exec = shard.NewExecutor(u.Sims)
-	}
-
-	// Frame pools: one free list per Sim, armed only where unicast
-	// delivery is single-copy (wire.FramePool's ownership contract rules
-	// out the flooding learning switch).
+	// The frame pool is armed only where unicast delivery is single-copy
+	// (wire.FramePool's ownership contract rules out the flooding
+	// learning switch).
 	if sp.Direct || sp.Fabric.multiTier() {
-		u.pools = make(map[*sim.Sim]*wire.FramePool, len(u.Sims))
-		for _, ps := range u.Sims {
-			u.pools[ps] = new(wire.FramePool)
-		}
+		u.pool = new(wire.FramePool)
 	}
 
 	// Phase 1: stack substrates. Constructors schedule no events and draw
@@ -750,9 +682,7 @@ func BuildE(sp Spec) (*Universe, error) {
 	// hangs off its own link whose far side is a switch port; clients
 	// claim the low port indices (and, in multi-tier fabrics, the low
 	// leaf slots).
-	if u.exec != nil {
-		u.Topo = fabric.NewTopologySharded(s, sp.topoSpec(net), u.leafSim, u.exec)
-	} else if sp.Fabric.multiTier() {
+	if sp.Fabric.multiTier() {
 		u.Topo = fabric.NewTopology(s, sp.topoSpec(net))
 	} else if !sp.Direct {
 		u.Switch = fabric.NewSwitch(s)
@@ -766,17 +696,17 @@ func BuildE(sp Spec) (*Universe, error) {
 		h.attachLink(u, net)
 	}
 
-	// Every link and switch is built: hand out the frame pools, so the
+	// Every link and switch is built: hand out the frame pool, so the
 	// fabric returns the frames it drops.
-	if u.pools != nil {
+	if u.pool != nil {
 		for _, c := range u.Clients {
-			c.Link.SetPools(u.FramePool)
+			c.Link.SetPool(u.pool)
 		}
 		for _, h := range u.Hosts {
-			h.Link.SetPools(u.FramePool)
+			h.Link.SetPool(u.pool)
 		}
 		if u.Topo != nil {
-			u.Topo.SetPools(u.FramePool)
+			u.Topo.SetPool(u.pool)
 		}
 	}
 
@@ -820,22 +750,4 @@ func (sp *Spec) topoSpec(net fabric.NetParams) fabric.TopoSpec {
 		ts.PodLeaves = sp.Fabric.PodLeaves
 	}
 	return ts
-}
-
-// effectiveShards is the shard-Sim count a build will actually use:
-// Spec.Shards clamped to the leaf count (a shard without a leaf would
-// idle), and 0 when the spec isn't sharded at all.
-func (sp *Spec) effectiveShards() int {
-	if sp.Shards <= 1 || sp.Fabric.Spines <= 0 {
-		return 0
-	}
-	n := len(sp.Clients) + len(sp.Hosts)
-	shards := sp.Shards
-	if leaves := sp.Fabric.leaves(n); shards > leaves {
-		shards = leaves
-	}
-	if shards <= 1 {
-		return 0
-	}
-	return shards
 }

@@ -380,3 +380,29 @@ func TestSpecValidation(t *testing.T) {
 	mustPanic("unnamed-client", "has no name", Spec{Hosts: []HostSpec{okHost},
 		Clients: []ClientSpec{{Size: workload.FixedSize{N: 64}}}})
 }
+
+// TestAutoEndpointsWide pins the two-byte auto-addressing: the first 254
+// machines keep their historical addresses, and 1500 of each class get
+// distinct MACs and IPs with no host/client collision.
+func TestAutoEndpointsWide(t *testing.T) {
+	if got, want := autoHostEP(0), (wire.Endpoint{MAC: wire.MAC{2, 0, 0, 0, 1, 1}, IP: wire.IP{10, 0, 1, 1}}); got != want {
+		t.Fatalf("autoHostEP(0) = %+v, want %+v", got, want)
+	}
+	if got, want := autoClientEP(253), (wire.Endpoint{MAC: wire.MAC{2, 0, 0, 0, 2, 254}, IP: wire.IP{10, 0, 2, 254}}); got != want {
+		t.Fatalf("autoClientEP(253) = %+v, want %+v", got, want)
+	}
+	macs := make(map[wire.MAC]bool)
+	ips := make(map[wire.IP]bool)
+	for i := 0; i < 1500; i++ {
+		for _, ep := range []wire.Endpoint{autoHostEP(i), autoClientEP(i)} {
+			if macs[ep.MAC] || ips[ep.IP] {
+				t.Fatalf("auto endpoint collision at index %d: %+v", i, ep)
+			}
+			macs[ep.MAC] = true
+			ips[ep.IP] = true
+			if ep.IP[3] == 0 {
+				t.Fatalf("index %d produced a .0 address: %+v", i, ep)
+			}
+		}
+	}
+}

@@ -138,7 +138,7 @@ func (u *Universe) wireDAG() {
 			if own <= 0 {
 				own = 100 * sim.Nanosecond
 			}
-			wireDAGNode(h, n.Service, own, calls)
+			wireDAGNode(u.S, h, n.Service, own, calls)
 		}
 		ei += len(n.Edges)
 	}
@@ -151,10 +151,9 @@ func (u *Universe) wireDAG() {
 // several worker threads for the service, so channels must never be
 // shared across concurrent handler instances. The pool grows to the
 // peak per-core concurrency and is reused thereafter — deterministic,
-// since each host's simulator is single-threaded.
-func wireDAGNode(h *Host, svc uint32, own sim.Time, calls []dagCall) {
+// since the universe's simulator is single-threaded.
+func wireDAGNode(sm *sim.Sim, h *Host, svc uint32, own sim.Time, calls []dagCall) {
 	lh := h.LH
-	sm := h.sim
 	pools := make([][]*core.ClientChan, h.Spec.Cores)
 	lh.SetAsyncHandler(svc, 1, func(tc *kernel.TC, coreID int, req []byte, respond func(uint16, []byte)) {
 		tc.RunUser(own, func() {

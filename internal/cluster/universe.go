@@ -9,7 +9,6 @@ import (
 	"lauberhorn/internal/kernel"
 	"lauberhorn/internal/nicdma"
 	"lauberhorn/internal/sim"
-	"lauberhorn/internal/sim/shard"
 	"lauberhorn/internal/stackdrv"
 	"lauberhorn/internal/stats"
 	"lauberhorn/internal/transport"
@@ -17,20 +16,13 @@ import (
 	"lauberhorn/internal/workload"
 )
 
-// Universe is a built Spec. In a serial build every machine shares one
-// simulator (S); a sharded build (Spec.Shards > 1 over a spine-leaf
-// fabric) places each leaf's machines on a shard simulator and keeps the
-// spine/core hub on S, running them in lockstep conservative windows
-// through RunUntil.
+// Universe is a built Spec. Every machine, switch and link shares one
+// simulator (S).
 type Universe struct {
-	// S is the hub simulator: the whole universe in a serial build, the
-	// spine/core tier in a sharded one. Code that runs the universe must
-	// use Universe.RunUntil (not S.RunUntil) so sharded universes
-	// advance every shard.
 	S    *sim.Sim
 	Spec Spec
-	// Sims lists every simulator: just S when serial, shard Sims first
-	// and S (the hub) last when sharded.
+	// Sims is []*sim.Sim{S}, for callers that range over a universe's
+	// simulators.
 	Sims []*sim.Sim
 	// Switch is the single learning switch joining the machines (nil for
 	// Direct and for multi-tier fabrics).
@@ -44,55 +36,22 @@ type Universe struct {
 	// node-declaration order (nil without a DAG).
 	DAGEdges []*DAGEdgeStat
 
-	shardSims []*sim.Sim
-	exec      *shard.Executor
-	// pools are the per-Sim frame free lists (nil in flooding topologies
-	// — see wire.FramePool's ownership contract).
-	pools  map[*sim.Sim]*wire.FramePool
+	// pool is the universe's frame free list (nil in flooding
+	// topologies — see wire.FramePool's ownership contract).
+	pool   *wire.FramePool
 	byName map[string]*Host
 }
 
-// FramePool returns the frame free list of the given Sim, or nil when
-// the topology cannot arm pools.
-func (u *Universe) FramePool(s *sim.Sim) *wire.FramePool { return u.pools[s] }
+// FramePool returns the universe's frame free list, or nil when the
+// topology cannot arm one. The argument is ignored: every member of Sims
+// shares the one pool.
+func (u *Universe) FramePool(*sim.Sim) *wire.FramePool { return u.pool }
 
-// Sharded reports whether the universe runs on multiple shard Sims.
-func (u *Universe) Sharded() bool { return u.exec != nil }
+// RunUntil advances the universe to t.
+func (u *Universe) RunUntil(t sim.Time) { u.S.RunUntil(t) }
 
-// leafSim is the shard simulator leaf l's subtree lives on.
-func (u *Universe) leafSim(l int) *sim.Sim {
-	return u.shardSims[l%len(u.shardSims)]
-}
-
-// simFor places the machine with the given attach index (clients first,
-// then hosts) on its simulator.
-func (u *Universe) simFor(attachIdx int) *sim.Sim {
-	if u.exec == nil {
-		return u.S
-	}
-	return u.leafSim(attachIdx / u.Spec.Fabric.LeafPorts)
-}
-
-// RunUntil advances the whole universe to t: the single simulator when
-// serial, every shard in conservative lockstep windows when sharded.
-// All simulators sit exactly at t afterwards.
-func (u *Universe) RunUntil(t sim.Time) {
-	if u.exec != nil {
-		u.exec.RunUntil(t)
-		return
-	}
-	u.S.RunUntil(t)
-}
-
-// EventsFired sums fired events across every simulator — the
-// denominator-independent progress measure e20 meters speedup with.
-func (u *Universe) EventsFired() uint64 {
-	var n uint64
-	for _, s := range u.Sims {
-		n += s.Fired()
-	}
-	return n
-}
+// EventsFired reports the events the universe's simulator has fired.
+func (u *Universe) EventsFired() uint64 { return u.S.Fired() }
 
 // Host is one built server machine.
 type Host struct {
@@ -123,16 +82,9 @@ type Host struct {
 	// a pass-through scheme like Raw).
 	Trans transport.Instance
 
-	// sim is the simulator the host's whole stack lives on: the shard
-	// Sim of its leaf in a sharded universe, Universe.S otherwise.
-	sim *sim.Sim
-
 	measuredServed uint64
 	measuredEnergy float64
 }
-
-// Sim returns the simulator the host lives on.
-func (h *Host) Sim() *sim.Sim { return h.sim }
 
 // Client is one built load-generating machine.
 type Client struct {
@@ -162,7 +114,6 @@ type Client struct {
 // driver (phase 1: no links, no services, no events, no randomness).
 func newHost(u *Universe, spec *HostSpec, index int) *Host {
 	h := &Host{Spec: *spec, EP: spec.Endpoint, Label: spec.Stack.Label()}
-	h.sim = u.simFor(len(u.Spec.Clients) + index)
 	if h.EP == (wire.Endpoint{}) {
 		h.EP = autoHostEP(index)
 	}
@@ -177,10 +128,10 @@ func newHost(u *Universe, spec *HostSpec, index int) *Host {
 		svcs[i] = stackdrv.Service{ID: ss.ID, Port: ss.Port, MinWorkers: ss.MinWorkers, Desc: ss.desc()}
 	}
 	h.Inst = ent.New(stackdrv.HostParams{
-		Sim: h.sim, HostName: spec.Name, Endpoint: h.EP, Cores: spec.Cores,
+		Sim: u.S, HostName: spec.Name, Endpoint: h.EP, Cores: spec.Cores,
 		Services: svcs, NIC: spec.NIC,
 		Fabric: u.Spec.fabricInfo(len(u.Spec.Clients) + index),
-		Frames: u.pools[h.sim],
+		Frames: u.pool,
 	})
 	h.K = h.Inst.Kernel()
 	// Optional driver views: experiments reach for the concrete
@@ -197,7 +148,7 @@ func newHost(u *Universe, spec *HostSpec, index int) *Host {
 
 // attachLink wires the host to the network (phase 3).
 func (h *Host) attachLink(u *Universe, net fabric.NetParams) {
-	h.Trans = u.newTransport(h.sim, h.EP)
+	h.Trans = u.newTransport(h.EP)
 	switch {
 	case u.Spec.Direct:
 		// The single client already owns the link; the host takes side 1,
@@ -206,7 +157,7 @@ func (h *Host) attachLink(u *Universe, net fabric.NetParams) {
 		h.LinkSide = 1
 		h.Link.Attach(u.Clients[0].port, wrapPort(h.Trans, h.Inst.FramePort()))
 	case u.Topo != nil:
-		h.Link = fabric.NewLink(h.sim, net)
+		h.Link = fabric.NewLink(u.S, net)
 		h.LinkSide = 0
 		h.Leaf = u.Topo.Attach(h.EP.MAC, h.Link, wrapPort(h.Trans, h.Inst.FramePort()))
 	default:
@@ -302,7 +253,7 @@ func newClient(u *Universe, spec *ClientSpec, index int, net fabric.NetParams) *
 	if c.EP == (wire.Endpoint{}) {
 		c.EP = autoClientEP(index)
 	}
-	s := u.simFor(index)
+	s := u.S
 
 	// Resolve targets: an empty list means every service on every host.
 	specTargets := spec.Targets
@@ -357,14 +308,14 @@ func newClient(u *Universe, spec *ClientSpec, index int, net fabric.NetParams) *
 		Popularity:    spec.Popularity,
 		Flows:         flows,
 		ChurnInterval: spec.ChurnInterval,
-		Frames:        u.pools[s],
+		Frames:        u.pool,
 	}
 	if !spec.InheritRNG {
 		cfg.Seed = DeriveSeed(u.Spec.Seed, index)
 	}
 
 	c.Link = fabric.NewLink(s, net)
-	c.Trans = u.newTransport(s, c.EP)
+	c.Trans = u.newTransport(c.EP)
 	switch {
 	case u.Spec.Direct:
 		c.Gen = workload.NewGenerator(s, cfg, c.Link, 0)
@@ -387,7 +338,7 @@ func newClient(u *Universe, spec *ClientSpec, index int, net fabric.NetParams) *
 // newTransport provisions one endpoint's transport instance, or nil for
 // pass-through schemes (Raw) — nil means the build wires the exact
 // pre-transport path, with no tap and no port wrapper.
-func (u *Universe) newTransport(s *sim.Sim, ep wire.Endpoint) transport.Instance {
+func (u *Universe) newTransport(ep wire.Endpoint) transport.Instance {
 	e, ok := transport.Lookup(u.Spec.Transport)
 	if !ok {
 		// Validate already rejected unknown kinds; this guards direct
@@ -397,7 +348,7 @@ func (u *Universe) newTransport(s *sim.Sim, ep wire.Endpoint) transport.Instance
 	if e.New == nil {
 		return nil
 	}
-	return e.New(transport.Params{Sim: s, Self: ep, Pool: u.pools[s]})
+	return e.New(transport.Params{Sim: u.S, Self: ep, Pool: u.pool})
 }
 
 // wrapPort interposes the transport's receive half around a machine's
@@ -444,22 +395,17 @@ func (u *Universe) scheduleFault(f FaultSpec) {
 		if f.Duration > 0 {
 			until = f.At + f.Duration
 		}
-		// The switch's own simulator: a leaf switch lives on its shard's
-		// Sim in a sharded universe.
 		fabric.ScheduleDrain(sw.Sim(), sw, f.At, until)
 		return
 	}
 	var l *fabric.Link
-	interSwitch := false
 	switch {
 	case f.Machine != "":
 		l = u.AccessLink(f.Machine)
 	case u.Spec.Fabric.RingSwitches > 0:
 		l = u.Topo.RingLink(f.Leaf)
-		interSwitch = true
 	default:
 		l = u.Topo.Uplink(f.Leaf, f.Spine)
-		interSwitch = true
 	}
 	var faults []fabric.LinkFault
 	switch f.Kind {
@@ -471,16 +417,7 @@ func (u *Universe) scheduleFault(f FaultSpec) {
 	case FaultLinkFlap:
 		faults = fabric.Flap(f.At, f.DownFor, f.UpFor, f.Cycles)
 	}
-	if interSwitch {
-		// Inter-switch links toggle per side on each side's own Sim —
-		// serial universes use the same form so the per-shard event
-		// sequences of a sharded build match the serial ones exactly.
-		fabric.ScheduleLinkFaultsSided(l, faults)
-		return
-	}
-	// An access link lives wholly on one machine's Sim (both Sim(0) and
-	// Sim(1) name it).
-	fabric.ScheduleLinkFaults(l.Sim(0), l, faults)
+	fabric.ScheduleLinkFaults(u.S, l, faults)
 }
 
 // DroppedFrames sums every frame the universe's network lost: inside the

@@ -30,8 +30,7 @@ const (
 
 // E18ThreeTierScales returns the 3-tier ladder in server hosts; each
 // rung also carries that many clients, so the top rung is a
-// 1024-machine universe — the 1000+ host scale the sharded executor
-// exists for.
+// 1024-machine universe.
 func E18ThreeTierScales() []int { return []int{128, 512} }
 
 // The 3-tier rungs keep e18's leaf shape but group leaves into pods of
@@ -59,7 +58,7 @@ func E18SpineLeaf(m *sim.Meter) *stats.Table {
 	for _, st := range sweepStacks("Lauberhorn", "Bypass", "Kernel") {
 		for _, n := range E18Scales() {
 			u := cluster.Build(e18Spec(18, st.Stack, n))
-			observeAll(m, u)
+			m.Observe(u.S)
 			u.RunMeasured(5*sim.Millisecond, 25*sim.Millisecond)
 			p := u.MergedLatency().Percentiles(0.5, 0.99)
 			t.AddRow(st.Name, n, 2*n, float64(n*e18Rate)/1000,
@@ -116,7 +115,6 @@ func e18Spec(seed uint64, stack cluster.Stack, n int) cluster.Spec {
 			Arrivals: workload.RatePerSec(e18Rate),
 		})
 	}
-	applyShards(&sp)
 	applyTransport(&sp)
 	return sp
 }
@@ -127,15 +125,14 @@ func e18Spec(seed uint64, stack cluster.Stack, n int) cluster.Spec {
 // across the server space, so most requests leave the pod and the core
 // tier carries real load; the table reads like E18SpineLeaf's with the
 // pod/spine shape added. One stack only: at this scale the sweep is
-// about the fabric (and, with -shards, the sharded executor), not the
-// stack ordering the two-tier ladder already pins.
+// about the fabric, not the stack ordering the two-tier ladder already pins.
 func E18ThreeTier(m *sim.Meter) *stats.Table {
 	t := stats.NewTable("E18 — 3-tier Clos scaling to 1024 machines (Lauberhorn, 64B, 1us handler, ECMP across pods and cores)",
 		"servers", "machines", "pods", "spines", "offered (krps)", "p50 (us)", "p99 (us)", "served", "spine spread")
 
 	for _, n := range E18ThreeTierScales() {
 		u := cluster.Build(e18TierSpec(18, n))
-		observeAll(m, u)
+		m.Observe(u.S)
 		u.RunMeasured(2*sim.Millisecond, 8*sim.Millisecond)
 		p := u.MergedLatency().Percentiles(0.5, 0.99)
 		t.AddRow(n, 2*n, u.Topo.Pods(), len(u.Topo.Spines),
@@ -184,7 +181,6 @@ func e18TierSpec(seed uint64, n int) cluster.Spec {
 			Arrivals: workload.RatePerSec(e18TierRate),
 		})
 	}
-	applyShards(&sp)
 	applyTransport(&sp)
 	return sp
 }

@@ -70,7 +70,7 @@ func E19Faults(m *sim.Meter) *stats.Table {
 	for _, st := range sweepStacks("Lauberhorn", "Bypass", "Kernel") {
 		for _, flap := range []bool{false, true} {
 			u := cluster.Build(e19Spec(19, st.Stack, flap))
-			observeAll(m, u)
+			m.Observe(u.S)
 			u.RunMeasured(10*sim.Millisecond, 30*sim.Millisecond)
 			lat := u.MergedLatency()
 			p := lat.Percentiles(0.5, 0.99)
@@ -121,7 +121,6 @@ func e19Spec(seed uint64, stack cluster.Stack, flap bool) cluster.Spec {
 	if flap {
 		sp.Faults = []cluster.FaultSpec{e19Flap()}
 	}
-	applyShards(&sp)
 	applyTransport(&sp)
 	return sp
 }

@@ -65,7 +65,7 @@ func E21Transport(m *sim.Meter) *stats.Table {
 	for _, e := range transport.All() {
 		for _, k := range E21Ks() {
 			u := cluster.Build(e21Spec(21, e.Kind, k))
-			observeAll(m, u)
+			m.Observe(u.S)
 			u.RunMeasured(warm, dur)
 			lat := u.MergedLatency()
 			p := lat.Percentiles(0.5, 0.99)

@@ -50,7 +50,7 @@ func E22TransportFaults(m *sim.Meter) *stats.Table {
 	for _, e := range transport.All() {
 		for _, flap := range []bool{false, true} {
 			u := cluster.Build(e22Spec(22, e.Kind, flap))
-			observeAll(m, u)
+			m.Observe(u.S)
 			u.RunMeasured(warm, dur)
 			lat := u.MergedLatency()
 			p := lat.Percentiles(0.5, 0.99)
@@ -76,8 +76,7 @@ func E22TransportFaults(m *sim.Meter) *stats.Table {
 
 // e22Spec is e19Spec restricted to Lauberhorn with marking uplinks and a
 // per-row transport scheme. Like e21 it sets Transport explicitly, so
-// the global -transport override does not apply; the -shards override
-// does (the rig is spine-leaf, and the matrix must shard cleanly).
+// the global -transport override does not apply.
 func e22Spec(seed uint64, kind transport.Kind, flap bool) cluster.Spec {
 	sp := e19Spec(seed, cluster.Lauberhorn, flap)
 	sp.Fabric.Uplink = e22Uplink()

@@ -89,7 +89,7 @@ func E23OpenLoop(m *sim.Meter) *stats.Table {
 		"arrivals", "mean offered (krps)", "sent", "completed", "served", "p50 (us)", "p99 (us)")
 	for _, row := range e23Arrivals() {
 		u := cluster.Build(e23Spec(23, row.Mk))
-		observeAll(m, u)
+		m.Observe(u.S)
 		u.RunMeasured(2*sim.Millisecond, 10*sim.Millisecond)
 		lat := u.MergedLatency()
 		p := lat.Percentiles(0.5, 0.99)
@@ -132,7 +132,6 @@ func e23Spec(seed uint64, mk func() workload.ArrivalDist) cluster.Spec {
 			Targets:  []cluster.TargetSpec{{Host: fmt.Sprintf("srv%d", i), Service: uint32(i + 1)}},
 		})
 	}
-	applyShards(&sp)
 	applyTransport(&sp)
 	return sp
 }

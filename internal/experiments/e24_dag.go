@@ -48,7 +48,7 @@ func E24DAG(m *sim.Meter) *stats.Table {
 	var basep99 float64
 	for _, shape := range e24Shapes {
 		u := cluster.Build(e24Spec(24, shape))
-		observeAll(m, u)
+		m.Observe(u.S)
 		u.RunMeasured(2*sim.Millisecond, 10*sim.Millisecond)
 		lat := u.MergedLatency()
 		p := lat.Percentiles(0.5, 0.99)
@@ -120,7 +120,6 @@ func e24Spec(seed uint64, shape string) cluster.Spec {
 	default:
 		panic("e24: unknown shape " + shape)
 	}
-	applyShards(&sp)
 	applyTransport(&sp)
 	return sp
 }

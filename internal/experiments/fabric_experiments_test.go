@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestE18Claims checks the spine-leaf scaling table: rows per stack and
 // scale, everything serves, aggregate served grows with scale, and the
@@ -127,77 +124,6 @@ func TestE18ThreeTierClaims(t *testing.T) {
 		t.Errorf("top rung has %v machines, want >= 1024", got)
 	}
 	t.Logf("\n%s", tb)
-}
-
-// TestE20Claims pins the sharded-execution equivalence table: one row
-// per execution mode, the sims column showing real partitioning
-// (shards + hub), and every results column byte-identical down the
-// table — the cross-simulator determinism contract rendered as data.
-func TestE20Claims(t *testing.T) {
-	tb := E20Sharding(nil)
-	counts := E20ShardCounts()
-	if len(tb.Rows) != len(counts) {
-		t.Fatalf("%d rows", len(tb.Rows))
-	}
-	if tb.Rows[0][0] != "serial" || tb.Rows[0][1] != "1" {
-		t.Fatalf("serial row malformed: %v", tb.Rows[0])
-	}
-	for i, shards := range counts[1:] {
-		r := tb.Rows[i+1]
-		if r[0] != fmt.Sprint(shards) || r[1] != fmt.Sprint(shards+1) {
-			t.Errorf("row %d: shards/sims = %s/%s, want %d/%d", i+1, r[0], r[1], shards, shards+1)
-		}
-	}
-	var v float64
-	if _, err := sscan(tb.Rows[0][4], &v); err != nil || v == 0 {
-		t.Fatalf("serial row served %q", tb.Rows[0][4])
-	}
-	for r := 1; r < len(tb.Rows); r++ {
-		for c := 2; c < len(tb.Rows[0]); c++ {
-			if tb.Rows[r][c] != tb.Rows[0][c] {
-				t.Errorf("row %d col %d: %q differs from serial %q", r, c, tb.Rows[r][c], tb.Rows[0][c])
-			}
-		}
-	}
-	t.Logf("\n%s", tb)
-}
-
-// TestShardedExperimentsStdoutIdentical is the -shards half of the
-// determinism acceptance gate: rendering the fabric, transport, and
-// open-loop workload experiments with the global shard override at 2
-// and 4 must reproduce the serial tables byte for byte (CI repeats the
-// same diff over the full suite via lhbench -shards; non-fabric
-// experiments never consult the override, e22's spine-leaf transport
-// universes must shard as cleanly as raw e19's, and e23/e24 prove the
-// stateful arrival processes and DAG execution survive sharding).
-func TestShardedExperimentsStdoutIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy")
-	}
-	exps, err := Select("e18,e19,e20,e21,e22,e23,e24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(shards int) string {
-		SetShards(shards)
-		defer SetShards(0)
-		results := (&Runner{Workers: 1}).Run(exps)
-		for _, r := range results {
-			if r.Err != nil {
-				t.Fatalf("shards=%d: %s failed: %v", shards, r.Experiment.ID, r.Err)
-			}
-		}
-		return renderAll(results)
-	}
-	serial := run(0)
-	if serial == "" {
-		t.Fatal("no output")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != serial {
-			t.Errorf("-shards %d diverges from serial tables", shards)
-		}
-	}
 }
 
 // TestFabricExperimentsSerialParallelIdentical is the e18/e19 half of

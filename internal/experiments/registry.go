@@ -78,8 +78,6 @@ func All() []Experiment {
 			}},
 		{ID: "e19", Title: "Link-flap fault injection, tail + served", Source: "fabric layer; §1 heavy traffic",
 			Run: one(E19Faults)},
-		{ID: "e20", Title: "Sharded execution equivalence, serial vs 2/4/8 shards", Source: "shard executor; conservative lookahead windows",
-			Run: one(E20Sharding)},
 		{ID: "e21", Title: "Incast collapse and recovery across transport schemes", Source: "transport layer; §1 heavy traffic",
 			Run: one(E21Transport)},
 		{ID: "e22", Title: "Transports under link-flap partition, blackholed work", Source: "transport layer; §1 heavy traffic",

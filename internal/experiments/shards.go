@@ -1,45 +1,10 @@
 package experiments
 
-import (
-	"lauberhorn/internal/cluster"
-	"lauberhorn/internal/sim"
-)
-
-// shardOverride is the package-wide shard-count override behind the
-// harness -shards flag. Zero (the default) builds every universe
-// serially; N > 1 partitions every spine-leaf universe into N shards
-// executed under conservative time windows. Sharding is an execution
-// detail — tables are byte-identical either way — so the override exists
-// purely to let CI and users re-run the whole suite sharded and diff the
-// output against a serial run.
-//
-// Set it once, before handing experiments to a Runner: the runner's
-// worker goroutines read it concurrently, and the goroutine-creation
-// happens-before edge is the only synchronization.
-var shardOverride int
-
-// SetShards installs the global shard-count override (0 = serial). Call
-// before running experiments; see shardOverride for the memory-model
-// contract.
-func SetShards(n int) { shardOverride = n }
-
-// Shards reports the current override.
-func Shards() int { return shardOverride }
-
-// applyShards arms a spec with the global override. Only spine-leaf
-// universes can shard (partitioning follows leaf boundaries), so star
-// and direct specs are left untouched.
-func applyShards(sp *cluster.Spec) {
-	if sp.Fabric.Spines > 0 {
-		sp.Shards = shardOverride
-	}
-}
-
-// observeAll registers every simulator of a universe — the per-shard
-// Sims and the hub — with the experiment's meter, so sharded runs report
-// the same total event counts a serial run does.
-func observeAll(m *sim.Meter, u *cluster.Universe) {
-	for _, s := range u.Sims {
-		m.Observe(s)
+// SetShards is kept for callers written when a universe could be split
+// across several simulators. Every universe now runs on one simulator,
+// so the only accepted value is 0; any other n panics.
+func SetShards(n int) {
+	if n != 0 {
+		panic("experiments: sharded execution was removed; SetShards accepts only 0")
 	}
 }

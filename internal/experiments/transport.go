@@ -6,17 +6,15 @@ import (
 )
 
 // transportOverride is the package-wide transport-scheme override behind
-// the harness -transport flag, the exact shape of shardOverride: raw
-// (the zero value, no transport) leaves every universe byte-identical to
+// the harness -transport flag: raw (the zero value, no transport) leaves every universe byte-identical to
 // the pre-transport wiring; any other registered scheme interposes one
 // instance per machine endpoint of every cluster experiment. e21 and e22
 // sweep the transport matrix themselves, so they ignore the override —
 // it exists to re-run the *other* cluster experiments under a scheme
 // (lhbench -run e15 -transport credit) without touching their specs.
 //
-// Set it once, before handing experiments to a Runner: like
-// shardOverride, the runner's goroutine-creation happens-before edge is
-// the only synchronization.
+// Set it once, before handing experiments to a Runner: the runner's
+// goroutine-creation happens-before edge is the only synchronization.
 var transportOverride transport.Kind
 
 // SetTransport installs the global transport override (transport.Raw =

@@ -44,21 +44,6 @@ func ScheduleLinkFaults(s *sim.Sim, l *Link, faults []LinkFault) {
 	}
 }
 
-// ScheduleLinkFaultsSided schedules each transition as two per-side
-// toggles, side 0 then side 1, each on the Sim that side lives on. This
-// is the form sharded universes use for boundary links — each shard flips
-// its own carrier replica at the same instant — and serial universes use
-// it for the same links so the per-shard event sequences stay identical.
-func ScheduleLinkFaultsSided(l *Link, faults []LinkFault) {
-	for side := 0; side < 2; side++ {
-		s := l.Sim(side)
-		for _, f := range faults {
-			side, up := side, f.Up
-			s.At(f.At, "fault-link", func() { l.SetUpSide(side, up) })
-		}
-	}
-}
-
 // ScheduleDrain drains a switch from at until until (forever when until
 // is zero): every frame it receives in the window is dropped.
 func ScheduleDrain(s *sim.Sim, sw *Switch, at, until sim.Time) {

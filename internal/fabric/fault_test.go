@@ -230,12 +230,10 @@ func TestDrainDuringActiveFlap(t *testing.T) {
 
 // TestFaultsOnZeroTrafficLink: a fault schedule against a link that
 // never carries a frame must run to completion without counting
-// anything — purge on an empty backlog is a no-op, sided and unsided
-// alike.
+// anything — purge on an empty backlog is a no-op.
 func TestFaultsOnZeroTrafficLink(t *testing.T) {
 	s, l, _, b := linkPair(t, Net100G)
 	ScheduleLinkFaults(s, l, Flap(1*sim.Microsecond, 2*sim.Microsecond, 1*sim.Microsecond, 3))
-	ScheduleLinkFaultsSided(l, Flap(500*sim.Nanosecond, 1*sim.Microsecond, 1*sim.Microsecond, 2))
 	s.Run()
 	if len(b.frames) != 0 || l.DroppedTotal() != 0 || l.MarkedTotal() != 0 {
 		t.Fatalf("zero-traffic link recorded frames=%d drops=%d marks=%d",

@@ -32,8 +32,7 @@ import (
 //
 // Determinism: flow progress is settled only at events (membership or
 // carrier changes), so remaining bytes are a pure function of the event
-// history, like every other piece of simulator state. Flows live on one
-// Sim; split links reject them.
+// history, like every other piece of simulator state.
 
 // FlowPort receives re-materialized fluid transfers — the flow-path
 // analogue of FramePort.
@@ -79,8 +78,8 @@ type flowState struct {
 // settle advances every active flow to now at the current equal share
 // of the link rate. While the carrier is down no bytes drain.
 func (fs *flowState) settle() {
-	now := fs.l.sims[fs.from].Now()
-	if now > fs.lastAt && !fs.l.down[fs.from] && len(fs.active) > 0 {
+	now := fs.l.s.Now()
+	if now > fs.lastAt && !fs.l.down && len(fs.active) > 0 {
 		adv := fs.l.params.Bandwidth / float64(len(fs.active)) *
 			(float64(now-fs.lastAt) / float64(sim.Nanosecond))
 		for _, f := range fs.active {
@@ -94,10 +93,10 @@ func (fs *flowState) settle() {
 // share; call after every settle that changed membership or carrier.
 func (fs *flowState) reschedule() {
 	if fs.ev != nil {
-		fs.l.sims[fs.from].Cancel(fs.ev)
+		fs.l.s.Cancel(fs.ev)
 		fs.ev = nil
 	}
-	if fs.l.down[fs.from] || len(fs.active) == 0 {
+	if fs.l.down || len(fs.active) == 0 {
 		return
 	}
 	min := fs.active[0].remaining
@@ -111,7 +110,7 @@ func (fs *flowState) reschedule() {
 	}
 	per := fs.l.params.Bandwidth / float64(len(fs.active))
 	d := sim.Time(math.Ceil(min / per * float64(sim.Nanosecond)))
-	fs.ev = fs.l.sims[fs.from].At(fs.lastAt+d, "flow-finish", fs.finFn)
+	fs.ev = fs.l.s.At(fs.lastAt+d, "flow-finish", fs.finFn)
 }
 
 // finish fires at the earliest completion: settle, hand every drained
@@ -127,7 +126,7 @@ func (fs *flowState) finish() {
 			fs.completed++
 			fs.bytesOut += f.payload
 			fs.done = append(fs.done, f)
-			fs.l.sims[fs.from].At(now+fs.l.params.Lookahead(), "flow-deliver", fs.delFn)
+			fs.l.s.At(now+fs.l.params.Lookahead(), "flow-deliver", fs.delFn)
 		} else {
 			keep = append(keep, f)
 		}
@@ -153,14 +152,14 @@ func (fs *flowState) deliverDone() {
 func (fs *flowState) carrierDown() {
 	fs.settle()
 	if fs.ev != nil {
-		fs.l.sims[fs.from].Cancel(fs.ev)
+		fs.l.s.Cancel(fs.ev)
 		fs.ev = nil
 	}
 }
 
 // carrierUp resumes the paused flows from their conserved remainders.
 func (fs *flowState) carrierUp() {
-	fs.lastAt = fs.l.sims[fs.from].Now()
+	fs.lastAt = fs.l.s.Now()
 	fs.reschedule()
 }
 
@@ -170,7 +169,7 @@ func (fs *flowState) carrierUp() {
 // the full rate, so progress since the last settle is subtracted
 // without mutating it.
 func (fs *flowState) backlog(now sim.Time) sim.Time {
-	if len(fs.active) == 0 || fs.l.down[fs.from] {
+	if len(fs.active) == 0 || fs.l.down {
 		return 0
 	}
 	var rem float64
@@ -190,14 +189,10 @@ func (fs *flowState) backlog(now sim.Time) sim.Time {
 // the same payload occupy the wire for the same time). The payload
 // reaches port.DeliverFlow in one call, Lookahead after the last wire
 // byte serializes. A flow offered while the carrier is down starts
-// paused and drains once carrier returns. Split links cannot carry
-// flows — bulk sources live on access and direct links.
+// paused and drains once carrier returns.
 func (l *Link) SendFlow(from int, wireBytes, payload int64, port FlowPort) {
 	if from != 0 && from != 1 {
 		panicBadSide(from)
-	}
-	if l.IsSplit() {
-		panic("fabric: SendFlow on a split link")
 	}
 	if l.ports[1-from] == nil {
 		panic("fabric: link not attached")
@@ -210,7 +205,7 @@ func (l *Link) SendFlow(from int, wireBytes, payload int64, port FlowPort) {
 	}
 	fs := l.flows[from]
 	if fs == nil {
-		fs = &flowState{l: l, from: from, lastAt: l.sims[from].Now()}
+		fs = &flowState{l: l, from: from, lastAt: l.s.Now()}
 		fs.finFn = fs.finish
 		fs.delFn = fs.deliverDone
 		l.flows[from] = fs
@@ -247,5 +242,5 @@ func (l *Link) FlowBacklog(from int) sim.Time {
 	if fs == nil {
 		return 0
 	}
-	return fs.backlog(l.sims[from].Now())
+	return fs.backlog(l.s.Now())
 }

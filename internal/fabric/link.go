@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lauberhorn/internal/sim"
-	"lauberhorn/internal/sim/shard"
 	"lauberhorn/internal/wire"
 )
 
@@ -48,9 +47,8 @@ func (n NetParams) OneWay(bytes int) sim.Time {
 
 // Lookahead is the guaranteed minimum delay between a frame's last
 // transmitted byte and its delivery on the far side: propagation plus
-// switching. It is the conservative-window bound sharded execution uses —
-// a frame sent at instant T cannot take effect across the link before
-// T + Lookahead, whatever the serialization backlog.
+// switching: a frame sent at instant T cannot take effect across the
+// link before T + Lookahead, whatever the serialization backlog.
 func (n NetParams) Lookahead() sim.Time {
 	return n.PropDelay + n.SwitchDelay
 }
@@ -66,7 +64,7 @@ type FramePort interface {
 // delivery is one in-flight frame: the frame bytes plus the deliver
 // function bound to the peer port at send time (so ReplacePort never
 // redirects frames already on the wire). txStart and ev exist for the
-// carrier-cut purge on unkeyed directions: txStart says whether the
+// carrier-cut purge (see purgeQueued): txStart says whether the
 // frame's serialization had begun when the carrier dropped, and ev is
 // the scheduled delivery event to cancel when it had not.
 type delivery struct {
@@ -79,18 +77,8 @@ type delivery struct {
 // Link is a full-duplex point-to-point Ethernet link between two ports.
 // Each direction serializes frames FIFO at the link bandwidth; a frame
 // arrives PropDelay+SwitchDelay after its last byte leaves the sender.
-//
-// A link normally lives on one Sim. An inter-switch link of a sharded
-// topology is instead split (Split): each side lives on its own shard's
-// Sim, and deliveries cross through a shard.Channel per direction rather
-// than a locally scheduled event. All serialization, drop, and counter
-// state was already per-side, so splitting changes only the scheduling
-// seam — the carrier flag becomes a per-side replica toggled by
-// identically timed events on both shards.
 type Link struct {
-	// sims[i] is the Sim side i lives on; both entries are the same Sim
-	// unless the link has been Split across shards.
-	sims   [2]*sim.Sim
+	s      *sim.Sim
 	params NetParams
 	ports  [2]FramePort
 	// deliverTo[i] is ports[i].DeliverFrame bound once at Attach or
@@ -109,24 +97,14 @@ type Link struct {
 	// txIdle[i] is when direction i->other becomes free to start
 	// serializing the next frame.
 	txIdle [2]sim.Time
-	// down is the fault-injection carrier state, replicated per side so a
-	// split link's shards each read only their own copy: while true,
-	// frames offered to that side are dropped (frames already serialized
-	// keep their delivery events — the bits left the sender before the
-	// cut). SetUp toggles both replicas; split links toggle each side on
-	// its own shard at identical instants (SetUpSide), so the replicas
-	// never disagree at any observable point.
-	down [2]bool
-	// chanKey[i] is the keyed-delivery base for direction i->other
-	// (sim.KeyedBase | direction ID), zero on access links. Inter-switch
-	// links schedule deliveries with sim.AtKeyed using chanKey|chanSeq so
-	// serial and sharded runs merge frames at switches in the same total
-	// order; see DESIGN.md "Sharded execution".
-	chanKey [2]uint64
-	chanSeq [2]uint64
-	// xchan[i] carries direction i->other across a shard boundary; nil on
-	// unsplit links.
-	xchan [2]*shard.Channel
+	// down is the fault-injection carrier state: while true, frames
+	// offered to either side are dropped (frames already serialized keep
+	// their delivery events — the bits left the sender before the cut).
+	down bool
+	// keepQueued exempts the link from the carrier-cut purge: a cut
+	// leaves its queued backlog to be delivered. Topology sets it on
+	// every inter-switch link; machine access links purge.
+	keepQueued bool
 	// tap[i] is the transport-layer transmit tap for side i: Send offers
 	// every frame to it first, and a false return means the transport
 	// consumed (or replaced) the frame — nothing reaches the wire.
@@ -137,10 +115,10 @@ type Link struct {
 	// first SendFlow so packet-only links pay a nil check at most; see
 	// flow.go.
 	flows [2]*flowState
-	// pools[i] is the frame free list of side i's Sim (nil where the
-	// universe arms no pools): the link is the terminal consumer of every
-	// frame it drops on side i, and returns it there.
-	pools [2]*wire.FramePool
+	// pool is the universe's frame free list (nil where it arms none):
+	// the link is the terminal consumer of every frame it drops, and
+	// returns it there.
+	pool *wire.FramePool
 	// counters
 	frames  [2]uint64
 	bytes   [2]uint64
@@ -158,58 +136,11 @@ func NewLink(s *sim.Sim, params NetParams) *Link {
 	if params.Bandwidth <= 0 {
 		panic("fabric: link bandwidth must be positive")
 	}
-	l := &Link{sims: [2]*sim.Sim{s, s}, params: params}
+	l := &Link{s: s, params: params}
 	l.deliverFn[0] = func() { l.deliverHead(0) }
 	l.deliverFn[1] = func() { l.deliverHead(1) }
 	return l
 }
-
-// SetDeliveryKeys puts the link in keyed-delivery mode: direction i->other
-// schedules its deliveries with sim.AtKeyed(arrive, keyI|counter) instead
-// of the Sim's sequence counter. Topologies key every inter-switch link —
-// in serial and sharded builds alike, with identical bases — so the merge
-// order of frames arriving at a switch is a function of (arrival instant,
-// direction, per-direction frame ordinal), not of which Sim scheduled the
-// delivery. Bases must carry sim.KeyedBase and be unique per direction.
-func (l *Link) SetDeliveryKeys(key0, key1 uint64) {
-	if key0 < sim.KeyedBase || key1 < sim.KeyedBase {
-		panic("fabric: delivery key below sim.KeyedBase")
-	}
-	l.chanKey[0], l.chanKey[1] = key0, key1
-}
-
-// Split moves side 1 of a keyed link onto its own shard Sim: each
-// direction's deliveries cross through a shard.Channel registered with
-// the executor, carrying the same (base, counter) keys a serial build
-// would assign. Call after SetDeliveryKeys and before any traffic.
-func (l *Link) Split(s1 *sim.Sim, x *shard.Executor) {
-	if l.chanKey[0] == 0 || l.chanKey[1] == 0 {
-		panic("fabric: Split before SetDeliveryKeys")
-	}
-	if l.frames[0]|l.frames[1] != 0 {
-		panic("fabric: Split after traffic")
-	}
-	l.sims[1] = s1
-	la := l.params.Lookahead()
-	// The channel looks up deliverTo at delivery time (not send time):
-	// inter-switch links never see ReplacePort, so the distinction from
-	// the serial capture-at-send contract is unobservable.
-	l.xchan[0] = shard.NewChannel(l.chanKey[0], la, s1, func(f []byte) { l.deliverTo[1](f) })
-	l.xchan[1] = shard.NewChannel(l.chanKey[1], la, l.sims[0], func(f []byte) { l.deliverTo[0](f) })
-	x.AddChannel(l.xchan[0])
-	x.AddChannel(l.xchan[1])
-}
-
-// Sim returns the Sim the given side lives on.
-func (l *Link) Sim(side int) *sim.Sim {
-	if side != 0 && side != 1 {
-		panicBadSide(side)
-	}
-	return l.sims[side]
-}
-
-// IsSplit reports whether the link's sides live on different Sims.
-func (l *Link) IsSplit() bool { return l.sims[0] != l.sims[1] }
 
 // Attach connects the two endpoints. Index 0 and 1 identify the sides for
 // Send.
@@ -279,10 +210,10 @@ func (l *Link) send(from int, frame []byte) {
 	if l.ports[1-from] == nil {
 		panic("fabric: link not attached")
 	}
-	now := l.sims[from].Now()
-	if l.down[from] {
+	now := l.s.Now()
+	if l.down {
 		l.dropped[from]++
-		l.pools[from].Put(frame)
+		l.pool.Put(frame)
 		return
 	}
 	start := now
@@ -291,7 +222,7 @@ func (l *Link) send(from int, frame []byte) {
 	}
 	if l.params.QueueLimit > 0 && start-now > l.params.QueueLimit {
 		l.dropped[from]++ // tail drop: the queue is QueueLimit deep
-		l.pools[from].Put(frame)
+		l.pool.Put(frame)
 		return
 	}
 	if th := l.params.ECNThreshold; th > 0 {
@@ -315,19 +246,7 @@ func (l *Link) send(from int, frame []byte) {
 	l.frames[from]++
 	l.bytes[from] += uint64(len(frame))
 	arrive := txEnd + l.params.PropDelay + l.params.SwitchDelay
-	if c := l.xchan[from]; c != nil {
-		// Split direction: the frame crosses a shard boundary; the channel
-		// assigns the same key a serial keyed link would.
-		c.Send(arrive, frame)
-		return
-	}
-	if k := l.chanKey[from]; k != 0 {
-		l.inflight[from] = append(l.inflight[from], delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start})
-		l.sims[from].AtKeyed(arrive, k|l.chanSeq[from], "link-deliver", l.deliverFn[from])
-		l.chanSeq[from]++
-		return
-	}
-	ev := l.sims[from].At(arrive, "link-deliver", l.deliverFn[from])
+	ev := l.s.At(arrive, "link-deliver", l.deliverFn[from])
 	l.inflight[from] = append(l.inflight[from], delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start, ev: ev})
 }
 
@@ -364,42 +283,33 @@ func (l *Link) Stats(from int) (frames, bytes uint64) {
 	return l.frames[from], l.bytes[from]
 }
 
-// SetUp flips the link's carrier state on both sides (fault injection).
-// Taking a link down does not cancel deliveries whose bits already left
-// the sender, but it does purge a still-queued transmit backlog on
-// unkeyed directions (see purgeQueued). Only valid on unsplit links,
-// where both replicas live on one Sim; split links use SetUpSide from
-// each shard.
+// SetUp flips the link's carrier state (fault injection). Taking a
+// link down does not cancel deliveries whose bits already left the
+// sender, but it does purge a still-queued transmit backlog (see
+// purgeQueued).
 func (l *Link) SetUp(up bool) {
-	if l.IsSplit() {
-		panic("fabric: SetUp on a split link; use SetUpSide per shard")
+	if up != l.down {
+		return // no transition
 	}
-	l.SetUpSide(0, up)
-	l.SetUpSide(1, up)
-}
-
-// SetUpSide flips one side's carrier replica. Split links schedule this
-// on each side's own Sim at the same instant, keeping the replicas
-// observationally identical without a cross-shard read. An up→down
-// transition purges the side's queued-but-unserialized backlog on
-// unkeyed directions.
-func (l *Link) SetUpSide(side int, up bool) {
-	if side != 0 && side != 1 {
-		panicBadSide(side)
+	if !up {
+		// Settle fluid progress up to the cut while the carrier still
+		// reads up; the remainders pause intact (the bits never left the
+		// sender), so flow bytes are conserved across faults.
+		for _, fs := range l.flows {
+			if fs != nil {
+				fs.carrierDown()
+			}
+		}
+		l.down = true
+		l.purgeQueued(0)
+		l.purgeQueued(1)
+		return
 	}
-	wasDown := l.down[side]
-	if fs := l.flows[side]; fs != nil && !up && !wasDown {
-		// Settle fluid progress up to the cut while the carrier replica
-		// still reads up; the remainders pause intact (the bits never
-		// left the sender), so flow bytes are conserved across faults.
-		fs.carrierDown()
-	}
-	l.down[side] = !up
-	if !up && !wasDown {
-		l.purgeQueued(side)
-	}
-	if fs := l.flows[side]; fs != nil && up && wasDown {
-		fs.carrierUp()
+	l.down = false
+	for _, fs := range l.flows {
+		if fs != nil {
+			fs.carrierUp()
+		}
 	}
 }
 
@@ -408,27 +318,22 @@ func (l *Link) SetUpSide(side int, up bool) {
 // delivery event and counts as Dropped, and the transmitter rewinds to
 // the earliest purged start so the direction is free once carrier
 // returns. Frames mid-serialization (txStart <= now) survive — their
-// bits are leaving the sender.
-//
-// Only unkeyed directions purge. Keyed inter-switch directions commit a
-// frame's (key, counter) delivery order at enqueue — the invariant that
-// makes serial and sharded runs byte-identical — and a split direction's
-// frames are already inside a shard.Channel, so both keep the legacy
-// bits-committed-at-enqueue semantics.
+// bits are leaving the sender. Links marked keepQueued (inter-switch
+// links) skip the purge and deliver their whole backlog.
 func (l *Link) purgeQueued(from int) {
-	if l.chanKey[from] != 0 || l.xchan[from] != nil {
+	if l.keepQueued {
 		return
 	}
 	q := l.inflight[from]
-	now := l.sims[from].Now()
+	now := l.s.Now()
 	end := len(q)
 	for end > l.inHead[from] && q[end-1].txStart > now {
 		end--
 		d := q[end]
 		q[end] = delivery{}
-		l.sims[from].Cancel(d.ev)
+		l.s.Cancel(d.ev)
 		l.dropped[from]++
-		l.pools[from].Put(d.frame)
+		l.pool.Put(d.frame)
 		l.txIdle[from] = d.txStart
 	}
 	if end == len(q) {
@@ -442,15 +347,8 @@ func (l *Link) purgeQueued(from int) {
 	l.inflight[from] = q[:end]
 }
 
-// Up reports whether the link currently has carrier. On a split link this
-// reads both replicas and is only safe between runs; in-simulation
-// callers on split links must use UpSide.
-func (l *Link) Up() bool { return !l.down[0] && !l.down[1] }
-
-// UpSide reports one side's carrier replica — the side-local read a
-// switch uses for ECMP liveness so a split link is never read across the
-// shard boundary.
-func (l *Link) UpSide(side int) bool { return !l.down[side] }
+// Up reports whether the link currently has carrier.
+func (l *Link) Up() bool { return !l.down }
 
 // Dropped reports frames dropped on the given side — offered while the
 // link was down, offered while the transmit queue was full, or purged
@@ -471,17 +369,14 @@ func (l *Link) Marked(from int) uint64 { return l.marked[from] }
 // MarkedTotal sums CE marks over both sides.
 func (l *Link) MarkedTotal() uint64 { return l.marked[0] + l.marked[1] }
 
-// SetPools hands the link each side's frame free list: poolOf maps a
-// side's Sim to its pool (nil for none). Call at build time, after
-// Split.
-func (l *Link) SetPools(poolOf func(*sim.Sim) *wire.FramePool) {
-	l.pools[0], l.pools[1] = poolOf(l.sims[0]), poolOf(l.sims[1])
-}
+// SetPool hands the link the frame free list it returns dropped frames
+// to (nil for none). Call at build time.
+func (l *Link) SetPool(p *wire.FramePool) { l.pool = p }
 
 // SetTap installs (or, with nil, removes) the transmit tap for one side.
 // Send offers every frame to the tap before any link processing; a false
 // return means the tap consumed the frame. Taps belong to the transport
-// layer — see internal/transport — and must live on the side's Sim.
+// layer — see internal/transport — and must live on the link's Sim.
 func (l *Link) SetTap(side int, tap func([]byte) bool) {
 	if side != 0 && side != 1 {
 		panicBadSide(side)

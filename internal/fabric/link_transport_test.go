@@ -53,22 +53,28 @@ func TestLinkDownPurgesQueuedBacklog(t *testing.T) {
 	}
 }
 
-// TestLinkDownPurgeKeepsKeyedSemantics: keyed (inter-switch) directions
-// commit delivery order at enqueue, so a cut must NOT purge them — the
-// invariant that keeps keyed-serial and split-sharded links identical.
-func TestLinkDownPurgeKeepsKeyedSemantics(t *testing.T) {
-	s, l, _, b := linkPair(t, Net100G)
-	l.SetDeliveryKeys(sim.KeyedBase|1<<40, sim.KeyedBase|2<<40)
+// TestLinkDownKeepsInterSwitchBacklog: a carrier cut purges a machine
+// access link's queued backlog (TestLinkDownPurgesQueuedBacklog) but not
+// an inter-switch link's — every frame queued on the uplink before the
+// cut still reaches its destination, and none counts as dropped.
+func TestLinkDownKeepsInterSwitchBacklog(t *testing.T) {
+	s, topo, hosts, _ := spineLeafRig(t, 1, 1)
+	up := topo.Uplink(0, 0)
+	toC := wire.Endpoint{MAC: macN(3), IP: wire.IP{10, 0, 0, 3}, Port: 9000}
 	for i := 0; i < 4; i++ {
-		l.Send(0, txUDPFrame(t, 1500))
+		f, err := wire.BuildUDP(txEP, toC, 1, make([]byte, 1500-wire.HeadersLen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		up.Send(0, f) // leaf 0 -> spine -> leaf 1 -> c
 	}
-	s.At(60*sim.Nanosecond, "cut", func() { l.SetUp(false) })
+	s.At(60*sim.Nanosecond, "cut", func() { up.SetUp(false) }) // mid-frame-0
 	s.Run()
-	if len(b.frames) != 4 {
-		t.Fatalf("keyed link delivered %d, want all 4 (bits committed at enqueue)", len(b.frames))
+	if got := len(hosts[2].frames); got != 4 {
+		t.Fatalf("inter-switch link delivered %d frames, want all 4 (backlog kept at the cut)", got)
 	}
-	if l.Dropped(0) != 0 {
-		t.Fatalf("keyed link counted %d purge drops, want 0", l.Dropped(0))
+	if up.Dropped(0) != 0 {
+		t.Fatalf("inter-switch link counted %d purge drops, want 0", up.Dropped(0))
 	}
 }
 

@@ -27,7 +27,7 @@ func TestLinkDropsReturnFrames(t *testing.T) {
 	params.QueueLimit = 100 * sim.Nanosecond
 	s, l, _, b := linkPair(t, params)
 	pool := new(wire.FramePool)
-	l.SetPools(func(*sim.Sim) *wire.FramePool { return pool })
+	l.SetPool(pool)
 	for i := 0; i < 8; i++ { // a saturating burst: tail drops
 		l.Send(0, poolFrame(t, pool, macN(2), macN(1)))
 	}
@@ -63,7 +63,7 @@ func TestSwitchReturnsDropsAndClonesFloods(t *testing.T) {
 	pool := new(wire.FramePool)
 	sw.SetPool(pool)
 	for _, l := range links {
-		l.SetPools(func(*sim.Sim) *wire.FramePool { return pool })
+		l.SetPool(pool)
 	}
 
 	bcast := poolFrame(t, pool, wire.BroadcastMAC, macN(1))

@@ -94,8 +94,7 @@ func (sw *Switch) AttachPort(l *Link, side int) *SwitchPort {
 	return p
 }
 
-// Sim returns the simulator the switch lives on — the shard Sim for a
-// sharded topology's leaves, the hub Sim for everything else.
+// Sim returns the simulator the switch lives on.
 func (sw *Switch) Sim() *sim.Sim { return sw.sim }
 
 // NumPorts returns the number of attached ports.
@@ -241,15 +240,14 @@ func (sw *Switch) ecmpPick(fromPort int, frame []byte) int {
 	return sw.ecmpPickIn(sw.uplinks, fromPort, frame)
 }
 
-// ecmpPickIn is ecmpPick over an explicit port group. Liveness is the
-// port's own link side — on a split link that is the side-local carrier
-// replica, so path selection never reads across a shard boundary.
+// ecmpPickIn is ecmpPick over an explicit port group; a port is live
+// while its link has carrier.
 func (sw *Switch) ecmpPickIn(group []int, fromPort int, frame []byte) int {
 	h := sw.flowHash(frame)
 	best := -1
 	var bestW uint64
 	for _, p := range group {
-		if p == fromPort || !sw.ports[p].link.UpSide(sw.ports[p].side) {
+		if p == fromPort || !sw.ports[p].link.Up() {
 			continue
 		}
 		if w := ecmpWeight(h, p); best < 0 || w > bestW {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lauberhorn/internal/sim"
-	"lauberhorn/internal/sim/shard"
 	"lauberhorn/internal/wire"
 )
 
@@ -113,16 +112,8 @@ type Topology struct {
 	// Cores are the core switches of a 3-tier Clos.
 	Cores []*Switch
 
-	// s is the hub Sim: spines, cores, and ring switches always live
-	// here. In a serial build the leaves do too; a sharded build places
-	// leaf l (and the leaf side of its uplinks) on leafSim(l).
-	s       *sim.Sim
-	leafSim func(int) *sim.Sim
-	exec    *shard.Executor
-	// nextDir numbers inter-switch link directions; each link's two
-	// delivery-key bases derive from it, identically in serial and
-	// sharded builds (creation order is attach order either way).
-	nextDir uint64
+	// s is the Sim every switch and inter-switch link lives on.
+	s *sim.Sim
 	// uplinks[l][sp] is the leaf l <-> spine sp link (leaf on side 0);
 	// sp indexes the leaf's pod's spines in a 3-tier fabric.
 	uplinks [][]*Link
@@ -140,28 +131,13 @@ type Topology struct {
 	macs               []wire.MAC
 }
 
-// dirShift positions the direction ID above the 40-bit per-direction
-// frame counter inside a delivery key: KeyedBase | dir<<dirShift | seq.
-const dirShift = 40
-
-// interLink creates one keyed inter-switch link with side 0 on s0. The
-// two direction IDs come off the topology-wide counter, so a serial and
-// a sharded build of the same spec assign identical keys to identical
-// links.
-func (t *Topology) interLink(s0 *sim.Sim) *Link {
-	l := NewLink(s0, t.Spec.Uplink)
-	l.SetDeliveryKeys(sim.KeyedBase|t.nextDir<<dirShift, sim.KeyedBase|(t.nextDir+1)<<dirShift)
-	t.nextDir += 2
+// interLink creates one inter-switch link. Unlike a machine's access
+// link, a carrier cut leaves its queued backlog to be delivered (see
+// Link.purgeQueued); e22's flap rows depend on that.
+func (t *Topology) interLink() *Link {
+	l := NewLink(t.s, t.Spec.Uplink)
+	l.keepQueued = true
 	return l
-}
-
-// simForLeaf is the Sim leaf l's switch (and the leaf side of its
-// uplinks) lives on.
-func (t *Topology) simForLeaf(l int) *sim.Sim {
-	if t.leafSim == nil {
-		return t.s
-	}
-	return t.leafSim(l)
 }
 
 // NewTopology builds the switch tiers and inter-switch links. Ring
@@ -169,34 +145,10 @@ func (t *Topology) simForLeaf(l int) *sim.Sim {
 // leaves (and their uplinks) on demand as machines attach, so the leaf
 // count is ceil(machines / LeafPorts).
 func NewTopology(s *sim.Sim, spec TopoSpec) *Topology {
-	return newTopology(s, spec, nil, nil)
-}
-
-// NewTopologySharded builds a spine-leaf fabric partitioned for sharded
-// execution: leaf l's switch and the leaf side of its uplinks live on
-// leafSim(l); spines and cores live on the hub Sim. Every uplink whose
-// leaf Sim differs from the hub is split, its two direction channels
-// registered with x. Link-creation order is identical to a serial build
-// of the same spec, so delivery keys — and therefore merge order — are
-// identical too.
-func NewTopologySharded(hub *sim.Sim, spec TopoSpec, leafSim func(leaf int) *sim.Sim, x *shard.Executor) *Topology {
-	if spec.Kind != TopoSpineLeaf {
-		panic("fabric: sharded build requires a spine-leaf topology")
-	}
-	if spec.Uplink.Lookahead() <= 0 {
-		panic("fabric: sharded build requires positive uplink lookahead")
-	}
-	if leafSim == nil || x == nil {
-		panic("fabric: sharded build needs a leaf Sim map and an executor")
-	}
-	return newTopology(hub, spec, leafSim, x)
-}
-
-func newTopology(s *sim.Sim, spec TopoSpec, leafSim func(int) *sim.Sim, x *shard.Executor) *Topology {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	t := &Topology{Spec: spec, s: s, leafSim: leafSim, exec: x}
+	t := &Topology{Spec: spec, s: s}
 	switch spec.Kind {
 	case TopoSpineLeaf:
 		if spec.ThreeTier() {
@@ -219,7 +171,7 @@ func newTopology(s *sim.Sim, spec TopoSpec, leafSim func(int) *sim.Sim, x *shard
 		// Segment i joins switch i to i+1: port 0 on each switch is
 		// "next", port 1 is "prev" (both trunks).
 		for i := 0; i < k; i++ {
-			t.ringLinks = append(t.ringLinks, t.interLink(s))
+			t.ringLinks = append(t.ringLinks, t.interLink())
 		}
 		for i := 0; i < k; i++ {
 			next := t.Leaves[i].AttachPort(t.ringLinks[i], 0)
@@ -237,10 +189,9 @@ func newTopology(s *sim.Sim, spec TopoSpec, leafSim func(int) *sim.Sim, x *shard
 	return t
 }
 
-// ensurePod creates pods 0..p: each pod's Spines spine switches on the
-// hub Sim, each spine with one keyed uplink per core and an ECMP group
-// over those uplinks, and on every core an ECMP group over the pod's
-// spine downlinks. Pods appear in order (leaves fill sequentially), so
+// ensurePod creates pods 0..p: each pod's Spines spine switches, each
+// spine with one uplink per core and an ECMP group over those uplinks,
+// and on every core an ECMP group over the pod's spine downlinks. Pods appear in order (leaves fill sequentially), so
 // pod p's group index on every core is exactly p.
 func (t *Topology) ensurePod(p int) {
 	for pod := len(t.Spines) / t.Spec.Spines; pod <= p; pod++ {
@@ -253,9 +204,7 @@ func (t *Topology) ensurePod(p int) {
 			cports := make([]int, t.Spec.Cores)
 			var up []int
 			for c := 0; c < t.Spec.Cores; c++ {
-				// Spine and core both live on the hub Sim, so these keyed
-				// links are never split.
-				link := t.interLink(t.s)
+				link := t.interLink()
 				links[c] = link
 				u := spine.AttachPort(link, 0)
 				d := t.Cores[c].AttachPort(link, 1)
@@ -279,12 +228,10 @@ func (t *Topology) ensurePod(p int) {
 
 // newLeaf appends an access switch with one uplink per (pod) spine,
 // registering the ECMP group on the leaf and the leaf's port on every
-// spine. In a sharded build the leaf lives on its shard's Sim and each
-// uplink is split at the leaf/hub boundary.
+// spine.
 func (t *Topology) newLeaf() *Switch {
 	l := len(t.Leaves)
-	ls := t.simForLeaf(l)
-	leaf := NewSwitch(ls)
+	leaf := NewSwitch(t.s)
 	t.Leaves = append(t.Leaves, leaf)
 	podBase := 0
 	if t.Spec.ThreeTier() {
@@ -296,10 +243,7 @@ func (t *Topology) newLeaf() *Switch {
 	sports := make([]int, t.Spec.Spines)
 	var group []int
 	for sp := 0; sp < t.Spec.Spines; sp++ {
-		link := t.interLink(ls)
-		if ls != t.s {
-			link.Split(t.s, t.exec)
-		}
+		link := t.interLink()
 		links[sp] = link
 		spine := t.Spines[podBase+sp]
 		up := leaf.AttachPort(link, 0)
@@ -446,30 +390,16 @@ func (t *Topology) visitLinks(fn func(*Link)) {
 	}
 }
 
-// SetPools hands every switch and inter-switch link instantiated so far
-// its Sim's frame free list (see Link.SetPools). Call once every machine
-// has attached, so on-demand leaves and pods are covered.
-func (t *Topology) SetPools(poolOf func(*sim.Sim) *wire.FramePool) {
+// SetPool hands every switch and inter-switch link instantiated so far
+// the frame free list (see Link.SetPool). Call once every machine has
+// attached, so on-demand leaves and pods are covered.
+func (t *Topology) SetPool(p *wire.FramePool) {
 	for _, tier := range [][]*Switch{t.Leaves, t.Spines, t.Cores} {
 		for _, sw := range tier {
-			sw.SetPool(poolOf(sw.sim))
+			sw.SetPool(p)
 		}
 	}
-	t.visitLinks(func(l *Link) { l.SetPools(poolOf) })
-}
-
-// LookaheadBound returns the minimum lookahead (propagation + switching
-// delay) across every instantiated inter-switch link — the conservative
-// window width sharded execution may safely use. It returns sim.Never if
-// no inter-switch link exists yet.
-func (t *Topology) LookaheadBound() sim.Time {
-	bound := sim.Never
-	t.visitLinks(func(l *Link) {
-		if la := l.params.Lookahead(); la < bound {
-			bound = la
-		}
-	})
-	return bound
+	t.visitLinks(func(l *Link) { l.SetPool(p) })
 }
 
 // RingLink returns ring segment i (joining switch i to i+1 mod K).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lauberhorn/internal/sim"
-	"lauberhorn/internal/sim/shard"
 )
 
 // clos3Rig builds a 3-tier Clos: PodLeaves leaves per pod, 2 machines per
@@ -148,95 +147,3 @@ func TestTopology3TierECMPBothTiers(t *testing.T) {
 		}
 	}
 }
-
-// TestTopologyShardedMatchesSerial builds the same 3-tier fabric twice —
-// serial, and sharded with one Sim per leaf plus a hub — injects the same
-// frames, and demands byte-identical delivery sequences. This is the
-// fabric-level slice of the repo determinism contract; the cluster layer
-// pins the full-universe version.
-func TestTopologyShardedMatchesSerial(t *testing.T) {
-	type rec struct {
-		host int
-		at   sim.Time
-		data byte
-	}
-	flows := func(send func(machine int, f []byte), frame func(src, dst byte, sp uint16) []byte) {
-		for i := 0; i < 30; i++ {
-			src := byte(1 + i%4)
-			dst := byte(1 + (i+2)%4)
-			send(int(src-1), frame(src, dst, uint16(10000+i*7)))
-		}
-	}
-	spec := TopoSpec{
-		Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 2,
-		Cores: 2, PodLeaves: 1, Uplink: Net100G, ECMPSeed: 3,
-	}
-
-	// Logs are kept per host: a sharded run has no global delivery order
-	// across shards (and a shared slice would be a data race), but each
-	// host's own delivery sequence must match the serial run exactly.
-	runSerial := func() [4][]rec {
-		s := sim.New(1)
-		topo := NewTopology(s, spec)
-		var logs [4][]rec
-		links := make([]*Link, 4)
-		for i := 0; i < 4; i++ {
-			i := i
-			links[i] = NewLink(s, Net100G)
-			topo.Attach(macN(byte(i+1)), links[i], framePortFunc(func(f []byte) {
-				logs[i] = append(logs[i], rec{host: i, at: s.Now(), data: f[len(f)-1]})
-			}))
-		}
-		flows(func(m int, f []byte) {
-
-			s.At(sim.Time(m)*sim.Microsecond, "inject", func() { links[m].Send(0, f) })
-		}, func(src, dst byte, sp uint16) []byte { return udpFrame(t, src, dst, sp, 9000) })
-		s.RunUntil(sim.Millisecond)
-		return logs
-	}
-
-	runSharded := func() [4][]rec {
-		hub := sim.New(1)
-		leafSims := []*sim.Sim{sim.New(1), sim.New(1)}
-		x := shard.NewExecutor([]*sim.Sim{leafSims[0], leafSims[1], hub})
-		topo := NewTopologySharded(hub, spec, func(l int) *sim.Sim { return leafSims[l] }, x)
-		var logs [4][]rec
-		links := make([]*Link, 4)
-		for i := 0; i < 4; i++ {
-			i := i
-			ls := leafSims[i/2]
-			links[i] = NewLink(ls, Net100G)
-			topo.Attach(macN(byte(i+1)), links[i], framePortFunc(func(f []byte) {
-				logs[i] = append(logs[i], rec{host: i, at: ls.Now(), data: f[len(f)-1]})
-			}))
-		}
-		flows(func(m int, f []byte) {
-
-			leafSims[m/2].At(sim.Time(m)*sim.Microsecond, "inject", func() { links[m].Send(0, f) })
-		}, func(src, dst byte, sp uint16) []byte { return udpFrame(t, src, dst, sp, 9000) })
-		x.RunUntil(sim.Millisecond)
-		return logs
-	}
-
-	serial, sharded := runSerial(), runSharded()
-	total := 0
-	for h := range serial {
-		total += len(serial[h])
-		if len(serial[h]) != len(sharded[h]) {
-			t.Fatalf("host %d: %d frames sharded vs %d serial", h, len(sharded[h]), len(serial[h]))
-		}
-		for i := range serial[h] {
-			if serial[h][i] != sharded[h][i] {
-				t.Fatalf("host %d delivery %d differs: serial %+v sharded %+v", h, i, serial[h][i], sharded[h][i])
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("serial run delivered nothing; test is vacuous")
-	}
-}
-
-// framePortFunc adapts a func to FramePort.
-type framePortFunc func([]byte)
-
-func (f framePortFunc) DeliverFrame(frame []byte) { f(frame) }

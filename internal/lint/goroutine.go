@@ -16,12 +16,8 @@ import (
 //
 //   - internal/experiments: the Runner fans experiment processes out
 //     across worker goroutines; each owns a whole universe.
-//   - internal/sim/shard: the conservative-window executor runs one
-//     worker goroutine per shard Sim, synchronized purely by channel
-//     happens-before at window barriers.
 var goroutineSanctioned = map[string]bool{
 	"lauberhorn/internal/experiments": true,
-	"lauberhorn/internal/sim/shard":   true,
 }
 
 // Goroutine confines concurrency to the sanctioned packages above plus
@@ -61,7 +57,7 @@ func runGoroutine(p *Pass) {
 					}
 				}
 				p.Reportf(n.Pos(),
-					"%s.%s outside sanctioned packages and cmd/: concurrency is confined to the Runner and the shard executor",
+					"%s.%s outside sanctioned packages and cmd/: concurrency is confined to the experiment Runner",
 					pkgPath, obj.Name())
 			}
 			return true

@@ -14,8 +14,8 @@
 //     reads in model/experiment code; simulated time comes from sim.Time
 //     and randomness from per-universe RNG streams.
 //   - goroutine: no go statements or sync primitives outside the
-//     experiment Runner and cmd/ — a future intra-universe sharding
-//     layer is the only place concurrency may enter.
+//     experiment Runner and cmd/ — one universe is one single-threaded
+//     simulator.
 //   - hotpath: functions annotated //lhlint:hotpath must not contain
 //     constructs that allocate or box (capturing closures, interface
 //     conversions, unbounded appends in loops, string concatenation,

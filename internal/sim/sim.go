@@ -123,42 +123,6 @@ func (s *Sim) At(t Time, name string, fn func()) *Event {
 	return e
 }
 
-// KeyedBase is the floor of the explicit-key space used by AtKeyed. Keys
-// passed to AtKeyed must have this bit set, which places every keyed event
-// after every At/After event scheduled for the same instant: the internal
-// sequence counter starts at zero and cannot plausibly reach 2^63.
-const KeyedBase uint64 = 1 << 63
-
-// AtKeyed schedules fn at instant t with an explicit ordering key instead
-// of the next internal sequence number. The queue's (at, seq) total order
-// is unchanged — the key simply occupies the seq slot — so two keyed events
-// at the same instant fire in ascending key order, and keyed events always
-// fire after same-instant At/After events (keys carry the KeyedBase bit).
-//
-// This exists for cross-shard frame delivery: boundary links tag each
-// delivery with a key derived from (link direction, per-direction frame
-// counter), giving serial and sharded runs the same total order at merge
-// points regardless of which Sim's sequence counter the delivery would
-// otherwise have drawn from. Callers must guarantee keys are unique per
-// instant; ties have no defined order.
-//
-//lhlint:hotpath
-func (s *Sim) AtKeyed(t Time, key uint64, name string, fn func()) *Event {
-	if t < s.now {
-		panicPastSchedule(name, t, s.now)
-	}
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	if key < KeyedBase {
-		panic("sim: AtKeyed key below KeyedBase")
-	}
-	e := s.alloc(t, key, name, fn)
-	s.live++
-	s.push(e)
-	return e
-}
-
 // After schedules fn to run d from now. Negative d panics.
 //
 //lhlint:hotpath
@@ -306,38 +270,6 @@ func (s *Sim) RunUntil(t Time) uint64 {
 		s.advance(t)
 	}
 	return s.fired - start
-}
-
-// RunBefore fires events with timestamps strictly before bound, leaving the
-// clock at the last fired instant (it does not advance to bound). It returns
-// the number of events fired. This is the window primitive of the sharded
-// executor: a shard runs [windowStart, windowEnd) with RunBefore(windowEnd),
-// and only the final window of a RunUntil advances the clock (AdvanceTo).
-func (s *Sim) RunBefore(bound Time) uint64 {
-	if bound == 0 {
-		return 0
-	}
-	start := s.fired
-	for !s.stopped && s.runTick(bound-1) {
-	}
-	return s.fired - start
-}
-
-// AdvanceTo moves the clock to t without firing anything. It panics if an
-// event is still pending before t — advancing past live work would violate
-// the causal order — or if t is in the past. The sharded executor uses it
-// to mirror RunUntil's final clock advance once every shard's events at or
-// before the target have fired.
-func (s *Sim) AdvanceTo(t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) before now %v", t, s.now))
-	}
-	if at := s.NextAt(); at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) past pending event at %v", t, at))
-	}
-	if t > s.now {
-		s.advance(t)
-	}
 }
 
 // Stop halts Run/RunUntil after the current event completes. Further Step

@@ -29,10 +29,10 @@
 // receiver's chosen rate instead of collapsing a tail-drop queue).
 //
 // Determinism invariants: a transport instance lives wholly on its
-// machine's Sim — every timer it arms, every tap and wrapper it runs,
-// and every control frame it originates is Sim-local, so sharded
-// universes (which never split access links) inherit serial/sharded
-// byte identity with no transport-specific reasoning. State machines
+// universe's Sim — every timer it arms, every tap and wrapper it runs,
+// and every control frame it originates is an ordinary event of that
+// Sim, so a run is reproducible from its seed with no
+// transport-specific reasoning. State machines
 // follow the PR 7 flattening rules: prebound callbacks, free-list
 // pools, no interface dispatch on the hot path, and no map iteration.
 package transport

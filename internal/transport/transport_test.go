@@ -63,6 +63,24 @@ type rig struct {
 	server Instance
 	got    *recPort
 	resp   *responder
+	// lost[i] blackholes direction i->other: frames sent from side i
+	// are discarded on arrival, a one-way loss the link's carrier (which
+	// cuts both directions) cannot express.
+	lost [2]bool
+}
+
+// lossyPort drops the frames of direction from while the rig says it
+// is lost, and passes the rest to the wrapped port.
+type lossyPort struct {
+	r    *rig
+	from int
+	next fabric.FramePort
+}
+
+func (p *lossyPort) DeliverFrame(f []byte) {
+	if !p.r.lost[p.from] {
+		p.next.DeliverFrame(f)
+	}
 }
 
 func newRig(t *testing.T, params fabric.NetParams, clientKind, serverKind Kind) *rig {
@@ -80,7 +98,8 @@ func newRig(t *testing.T, params fabric.NetParams, clientKind, serverKind Kind) 
 	}
 	r.client = ce.New(Params{Sim: s, Self: clientEP})
 	r.server = se.New(Params{Sim: s, Self: serverEP})
-	l.Attach(r.client.WrapPort(r.got), r.server.WrapPort(r.resp))
+	l.Attach(&lossyPort{r: r, from: 1, next: r.client.WrapPort(r.got)},
+		&lossyPort{r: r, from: 0, next: r.server.WrapPort(r.resp)})
 	r.client.BindLink(l, 0)
 	r.server.BindLink(l, 1)
 	return r
@@ -154,9 +173,9 @@ func TestRetryRetransmitsThroughOutage(t *testing.T) {
 // re-executing the service.
 func TestRetryReplaysCachedResponse(t *testing.T) {
 	r := newRig(t, fabric.Net100G, Retry, Retry)
-	r.l.SetUpSide(1, false) // server→client direction down
+	r.lost[1] = true // server→client direction lost
 	r.request(t, 1, 64)
-	r.s.At(500*sim.Microsecond, "up", func() { r.l.SetUpSide(1, true) })
+	r.s.At(500*sim.Microsecond, "up", func() { r.lost[1] = false })
 	r.s.Run()
 	if len(r.got.frames) != 1 {
 		t.Fatalf("client received %d responses, want 1 replayed", len(r.got.frames))
@@ -241,7 +260,7 @@ func TestECNCutsWindowOnMarks(t *testing.T) {
 // cut, rather than wedging the connection.
 func TestECNReclaimsLostWindow(t *testing.T) {
 	r := newRig(t, fabric.Net100G, ECN, ECN)
-	r.l.SetUpSide(1, false)
+	r.lost[1] = true
 	const n = 10
 	for i := 1; i <= n; i++ {
 		r.request(t, uint64(i), 64)
@@ -332,10 +351,10 @@ func TestCreditReceiverReclaims(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		r.request(t, uint64(i), 200)
 	}
-	// Kill the client→server direction after the first grants are issued
-	// (~0.7µs) but before the released frames hit the wire (~1.4µs): the
-	// receiver is left with outstanding credit that will never arrive.
-	r.s.At(sim.Microsecond, "cut", func() { r.l.SetUpSide(0, false) })
+	// Lose the client→server direction after the first grants are issued
+	// (~0.7µs) but before the released frames arrive: the receiver is
+	// left with outstanding credit that will never arrive.
+	r.s.At(sim.Microsecond, "cut", func() { r.lost[0] = true })
 	r.s.RunUntil(20 * sim.Millisecond)
 	sst := r.server.Stats()
 	if sst.SlotReclaims == 0 {

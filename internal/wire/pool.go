@@ -7,7 +7,7 @@ import "testing"
 // instead of allocating one per send.
 //
 // Ownership-transfer contract. In a universe with pools armed, every
-// frame is drawn from its Sim's pool (BuildUDP or Clone) and transfers
+// frame is drawn from the universe's pool (BuildUDP or Clone) and transfers
 // ownership whole down the tx path: through the NIC, the link, and the
 // fabric to exactly one terminal consumer. The terminal consumer — and
 // only it — returns the frame with Put, and only once every alias it
@@ -41,12 +41,10 @@ import "testing"
 //     own Clone. The learning switch of a star topology floods unknown
 //     unicast too, so the cluster builder arms pools only for Direct
 //     links and routed (statically programmed) fabrics.
-//   - A pool belongs to one shard: it is single-threaded by the same
-//     contract as the rest of the model, touched only by components on
-//     its shard's Sim. Frames routinely DIE on a different shard than
-//     they were built on; the consumer Puts into its own shard's pool,
-//     so buffers migrate between pools but each free list stays
-//     unsynchronized.
+//   - A pool belongs to one universe and is single-threaded by the same
+//     contract as the rest of the model: every component that touches
+//     it runs on the universe's one Sim, so the free list needs no
+//     synchronization.
 //
 // A nil *FramePool is valid and degrades to plain allocation, so pool
 // plumbing is optional everywhere.
