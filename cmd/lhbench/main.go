@@ -8,10 +8,6 @@
 //	lhbench -run all               # run everything (default)
 //	lhbench -run all -parallel 8   # run up to 8 experiments concurrently
 //	lhbench -run e3 -json          # machine-readable results
-//	lhbench -bench BENCH_sim.json  # also write the perf-trajectory artifact
-//	lhbench -bench fresh.json -ratchet BENCH_sim.json
-//	                               # fail if fresh throughput regressed >10%
-//	                               # against the committed baseline
 //	lhbench -run e15 -transport credit
 //	                               # rerun a cluster experiment with a
 //	                               # transport scheme on every endpoint
@@ -102,18 +98,17 @@ func transportNames() string {
 	return strings.Join(names, " | ")
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status instead of
+// calling os.Exit itself, so deferred cleanup (stopping and closing the
+// CPU profile) runs on the failure paths too.
+func run() int {
 	list := flag.Bool("list", false, "list experiments and stack drivers, then exit")
-	run := flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
+	runIDs := flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"max experiments running concurrently (1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON on stdout")
-	benchOut := flag.String("bench", "",
-		"write a BENCH_sim.json perf snapshot (events/sec per experiment, queue microbenchmarks) to this path")
-	ratchet := flag.String("ratchet", "",
-		"compare the fresh -bench snapshot against this committed baseline and fail on >10% aggregate events/sec regression")
-	benchReps := flag.Int("benchreps", 3,
-		"with -bench: run the experiment set N times and record min wall time per experiment (noise floor for the ratchet)")
 	transportName := flag.String("transport", "raw",
 		"transport scheme for every cluster experiment: "+transportNames()+" (e21/e22 sweep the full matrix regardless)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this path")
@@ -131,37 +126,37 @@ func main() {
 
 	if *list {
 		fmt.Print(listText())
-		return
+		return 0
 	}
 
 	tr, ok := transport.ByName(strings.ToLower(*transportName))
 	if !ok {
 		fmt.Fprintf(os.Stderr, "lhbench: unknown transport %q (registered: %s)\n",
 			*transportName, transportNames())
-		os.Exit(1)
+		return 1
 	}
 	experiments.SetTransport(tr.Kind)
 
-	selected, err := experiments.Select(*run)
+	selected, err := experiments.Select(*runIDs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lhbench: %v (use -list to see experiment IDs)\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "lhbench: -parallel must be >= 1, got %d\n", *parallel)
-		os.Exit(1)
+		return 1
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lhbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "lhbench: starting CPU profile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -177,7 +172,7 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintf(os.Stderr, "lhbench: encoding results: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	} else {
 		results = runner.RunStream(selected, func(r experiments.Result) {
@@ -198,64 +193,21 @@ func main() {
 	}
 
 	elapsed := time.Since(start)
-	if *ratchet != "" && *benchOut == "" {
-		fmt.Fprintf(os.Stderr, "lhbench: -ratchet needs -bench to measure a fresh snapshot\n")
-		os.Exit(1)
-	}
-	if *benchOut != "" {
-		if *benchReps < 1 {
-			fmt.Fprintf(os.Stderr, "lhbench: -benchreps must be >= 1, got %d\n", *benchReps)
-			os.Exit(1)
-		}
-		// Multi-sample benching: rerun the experiment set silently and keep
-		// the fastest wall time per experiment. Tables are deterministic, so
-		// the reruns only refine the timing; min-of-N filters scheduler and
-		// cache noise out of the snapshot.
-		for rep := 1; rep < *benchReps; rep++ {
-			for i, r := range runner.Run(selected) {
-				if r.Err == nil && (results[i].Err != nil || r.Wall < results[i].Wall) {
-					results[i].Wall = r.Wall
-				}
-			}
-		}
-		fresh := buildBench(*parallel, *benchReps, results)
-		if err := writeBench(*benchOut, fresh); err != nil {
-			fmt.Fprintf(os.Stderr, "lhbench: writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "lhbench: wrote perf snapshot to %s\n", *benchOut)
-		if *ratchet != "" {
-			base, err := loadBench(*ratchet)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lhbench: loading ratchet baseline: %v\n", err)
-				os.Exit(1)
-			}
-			failures, notes := compareBench(base, fresh, ratchetTolerance)
-			for _, n := range notes {
-				fmt.Fprintf(os.Stderr, "lhbench: %s\n", n)
-			}
-			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "lhbench: RATCHET %s\n", f)
-			}
-			if len(failures) > 0 {
-				fmt.Fprintf(os.Stderr, "lhbench: perf ratchet failed against %s (fix the regression or commit a refreshed baseline)\n", *ratchet)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "lhbench: perf ratchet ok against %s\n", *ratchet)
-		}
-	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lhbench: -memprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "lhbench: writing allocation profile: %v\n", err)
-			os.Exit(1)
+		err = pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lhbench: writing allocation profile: %v\n", err)
+			return 1
+		}
 	}
 	sum := experiments.Summarize(results)
 	fmt.Fprintf(os.Stderr,
@@ -265,6 +217,7 @@ func main() {
 		float64(sum.SerialWall)/float64(elapsed))
 	if sum.Failures > 0 {
 		fmt.Fprintf(os.Stderr, "lhbench: %d experiment(s) FAILED\n", sum.Failures)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

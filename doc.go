@@ -42,7 +42,7 @@
 // iteration, wall-clock reads, global randomness, and goroutines in
 // model code, checks //lhlint:hotpath-annotated functions for
 // allocating constructs, and cross-checks the experiment registry
-// against EXPERIMENTS.md. `go run ./cmd/lhlint ./...` must exit clean;
-// CI gates on it alongside a perf ratchet (`lhbench -ratchet`) that
-// fails on aggregate events/sec regressions against BENCH_sim.json.
+// against EXPERIMENTS.md. `go run ./cmd/lhlint ./...` must exit clean,
+// and CI gates on it. Performance is measured separately, by same-host
+// A/B runs of the perfbench harness (perfbench/README.md).
 package lauberhorn

@@ -22,10 +22,6 @@ type Result struct {
 	// experiment created (exact even under parallelism: each experiment
 	// gets its own Meter).
 	Events uint64
-	// Recycled counts Event allocations the simulators' free lists
-	// avoided; together with Events it describes the queue's behavior for
-	// the BENCH_sim.json perf trajectory.
-	Recycled uint64
 	// Sims counts simulators the experiment created.
 	Sims int
 	// Err records a recovered panic, leaving the other experiments'
@@ -107,7 +103,6 @@ func runOne(e Experiment) (res Result) {
 		//lhlint:allow detsource Wall is the one documented nondeterministic Result field; it never feeds model behavior
 		res.Wall = time.Since(start)
 		res.Events = m.EventsFired()
-		res.Recycled = m.EventsRecycled()
 		res.Sims = m.Sims()
 		if p := recover(); p != nil {
 			res.Err = fmt.Errorf("experiment %s panicked: %v", e.ID, p)

@@ -22,9 +22,6 @@ var transportOverride transport.Kind
 // memory-model contract.
 func SetTransport(k transport.Kind) { transportOverride = k }
 
-// Transport reports the current override.
-func Transport() transport.Kind { return transportOverride }
-
 // applyTransport arms a spec with the global override. Specs that pick a
 // scheme explicitly (the e21/e22 matrices) are left alone, so the
 // override composes with, rather than fights, the transport experiments.

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"testing"
+
+	"lauberhorn/internal/fabric"
+	"lauberhorn/internal/sim"
+	"lauberhorn/internal/workload"
 )
 
 // TestE23Claims pins the open-loop knee and the burstiness claim: the
@@ -115,11 +119,10 @@ func TestE24Claims(t *testing.T) {
 // TestFluidAggregationReducesEvents is the representation-switch
 // acceptance claim at scenario scale: on the long-transfer background
 // workload the fluid fast path fires at least 5x fewer simulator events
-// than per-packet execution while delivering byte-identical payloads —
-// the number lhbench snapshots into BENCH_sim.json.
+// than per-packet execution while delivering byte-identical payloads.
 func TestFluidAggregationReducesEvents(t *testing.T) {
-	pktEvents, pktBytes := FluidScenario(false)
-	fluEvents, fluBytes := FluidScenario(true)
+	pktEvents, pktBytes := fluidScenario(false)
+	fluEvents, fluBytes := fluidScenario(true)
 	if pktBytes == 0 || pktBytes != fluBytes {
 		t.Fatalf("delivered bytes differ: %d per-packet vs %d fluid", pktBytes, fluBytes)
 	}
@@ -127,10 +130,50 @@ func TestFluidAggregationReducesEvents(t *testing.T) {
 		t.Fatalf("fluid scenario fired %d events vs %d per-packet — below the 5x cut", fluEvents, pktEvents)
 	}
 	// Determinism: the scenario is a pure function of its fixed seeds.
-	e2, b2 := FluidScenario(true)
+	e2, b2 := fluidScenario(true)
 	if e2 != fluEvents || b2 != fluBytes {
 		t.Fatalf("fluid scenario not deterministic: (%d,%d) vs (%d,%d)", e2, b2, fluEvents, fluBytes)
 	}
 	t.Logf("per-packet %d events, fluid %d events (%.1fx), %d bytes",
 		pktEvents, fluEvents, float64(pktEvents)/float64(fluEvents), pktBytes)
+}
+
+// fluidScenario is the long-transfer background workload behind
+// TestFluidAggregationReducesEvents: four bulk sources on independent
+// 100G links push a heavy-tailed transfer mix — mostly small 16 KiB
+// objects by count, most *bytes* in 1-4 MiB transfers — for 50 ms of
+// simulated time, either per-packet or with transfers at or above the
+// 64 KiB threshold as fluid flows. The 64 KiB switch point is the
+// cluster-scale analogue of the Hybrid stack's ~4 KiB cache-line/DMA
+// crossover — below it per-frame accounting is cheap and exact, above
+// it only aggregate progress matters.
+func fluidScenario(fluid bool) (events uint64, bytes int64) {
+	const (
+		links     = 4
+		threshold = 64 << 10
+		horizon   = 50 * sim.Millisecond
+	)
+	s := sim.New(42)
+	var sinks []*workload.BulkSink
+	for i := 0; i < links; i++ {
+		link := fabric.NewLink(s, fabric.Net100G)
+		sink := &workload.BulkSink{S: s, Overhead: workload.DefaultBulkOverhead}
+		link.Attach(sink, sink)
+		src := workload.NewBulkSource(s, workload.BulkConfig{
+			Size: workload.NewMixtureSize("bulk-mix",
+				[]int{16 << 10, 1 << 20, 4 << 20},
+				[]float64{0.50, 0.35, 0.15}),
+			Arrivals:  workload.Poisson{Mean: 300 * sim.Microsecond},
+			Threshold: threshold,
+			Fluid:     fluid,
+			Seed:      uint64(1000 + i),
+		}, link, 0, sink)
+		src.Start(horizon)
+		sinks = append(sinks, sink)
+	}
+	s.Run()
+	for _, sink := range sinks {
+		bytes += sink.Bytes
+	}
+	return s.Fired(), bytes
 }

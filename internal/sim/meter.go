@@ -39,17 +39,3 @@ func (m *Meter) EventsFired() uint64 {
 	}
 	return n
 }
-
-// EventsRecycled sums Event allocations avoided by the free list across
-// all observed simulators — the queue-efficiency counter BENCH_sim.json
-// tracks alongside throughput.
-func (m *Meter) EventsRecycled() uint64 {
-	if m == nil {
-		return 0
-	}
-	var n uint64
-	for _, s := range m.sims {
-		n += s.Recycled()
-	}
-	return n
-}
