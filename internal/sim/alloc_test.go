@@ -62,8 +62,8 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchTickFireZeroAlloc pins the batch-fire path: a multi-event tick
-// drained through runTick must reuse the batch buffer and the Event free
+// TestBatchTickFireZeroAlloc pins the RunUntil loop over a group of
+// same-instant events: it must reuse the bucket slices and the Event free
 // list — zero allocations once both are warm. This is the loop Run and
 // RunUntil sit in for the whole simulation.
 func TestBatchTickFireZeroAlloc(t *testing.T) {
@@ -72,25 +72,21 @@ func TestBatchTickFireZeroAlloc(t *testing.T) {
 	fired := 0
 	fn := func() { fired++ }
 	warm(s, fn)
-	// Grow the batch buffer and free list to tickWidth.
-	for i := 0; i < 2*ringSlots; i++ {
+	// Grow the bucket slices and free list to tickWidth.
+	tick := func(name string) {
 		for j := 0; j < tickWidth; j++ {
-			s.After(bucketSpan/2, "warm", fn)
+			s.After(bucketSpan/2, name, fn)
 		}
-		if !s.runTick(Never) {
-			t.Fatal("warm tick did not fire")
+		if n := s.RunUntil(s.Now() + bucketSpan/2); n != tickWidth {
+			t.Fatalf("%s tick fired %d events, want %d", name, n, tickWidth)
 		}
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		for j := 0; j < tickWidth; j++ {
-			s.After(bucketSpan/2, "probe", fn)
-		}
-		if !s.runTick(Never) {
-			t.Fatal("probe tick did not fire")
-		}
-	})
+	for i := 0; i < 2*ringSlots; i++ {
+		tick("warm")
+	}
+	allocs := testing.AllocsPerRun(1000, func() { tick("probe") })
 	if allocs != 0 {
-		t.Errorf("batch tick fire allocates %v per op, want 0", allocs)
+		t.Errorf("same-instant RunUntil allocates %v per op, want 0", allocs)
 	}
 	if fired == 0 {
 		t.Fatal("probe events never fired")

@@ -3,29 +3,26 @@ package sim
 import "math/bits"
 
 // This file implements the simulator's event queue: a near-future bucket
-// ring fronting a 4-ary min-heap, replacing the earlier container/heap
-// queue. The split exploits the dominant scheduling pattern in this
+// ring fronting a 4-ary min-heap. The split exploits the dominant scheduling pattern in this
 // repository — After(d) with tiny d (NIC serialization ticks, cache-line
 // protocol hops, decode-pipeline stages) — while keeping far-future events
 // (TryAgain timers, coherence watchdogs, rate-limited generators) out of
 // the hot path.
 //
-//   - Events within ringHorizon of now land in per-bucket FIFO lists and
-//     never touch the overflow heap: scheduling is an append. Buckets are
-//     bucketSpan wide; the bucket under the front cursor is organized as a
-//     small 4-ary min-heap (heapified lazily when the cursor arrives) so
-//     bursts of same-bucket events cost O(log b) each, not O(b).
+//   - Events within ringHorizon of now land in bucketSpan-wide buckets and
+//     never touch the overflow heap. Every bucket is a small 4-ary min-heap
+//     over its slice, so bursts of same-bucket events cost O(log b) each,
+//     not O(b), and the front bucket's minimum is always at index 0.
 //   - Events at or beyond the horizon go to an inline 4-ary min-heap with
 //     hand-written sift loops — no interface boxing, no container/heap
 //     calls. As the clock advances the horizon slides forward and heap
 //     events inside it migrate into the ring (advance).
 //
-// Determinism invariant: the total (at, seq) order of the old single heap
-// is preserved exactly. Ring events always precede heap events — after
-// every clock advance the overflow heap's minimum lies at or beyond the
-// horizon while every ring event lies inside it — and the front bucket
-// always pops its unique (at, seq) minimum. Lazy cancellation, compaction,
-// and the Event free list carry over unchanged.
+// Determinism invariant: events fire in total (at, seq) order. Ring events
+// always precede heap events — after every clock advance the overflow
+// heap's minimum lies at or beyond the horizon while every ring event lies
+// inside it — and the front bucket always pops its unique (at, seq)
+// minimum.
 
 const (
 	// bucketBits sets the bucket width: 2^12 ps ≈ 4.1 ns, about one
@@ -42,11 +39,6 @@ const (
 	// ringIndex marks an Event resident in the bucket ring (the ring needs
 	// no positional tracking; the sentinel keeps Pending/Cancel working).
 	ringIndex = 1 << 30
-	// batchIndex marks an Event drained into the run loop's same-tick batch
-	// buffer: removed from both queue halves but not yet fired. The sentinel
-	// is non-negative so Pending stays true and a same-tick callback can
-	// still Cancel it before its turn in the batch comes.
-	batchIndex = 1 << 29
 )
 
 // eventBefore is the queue's total order: time, then scheduling sequence,
@@ -74,8 +66,7 @@ func (s *Sim) push(e *Event) {
 }
 
 // ringPush inserts an event into absolute bucket b, which must lie within
-// the horizon. The front bucket keeps its heap order; other buckets are
-// plain appends, heapified lazily when the cursor arrives.
+// the horizon, keeping the bucket's heap order.
 //
 //lhlint:hotpath
 func (s *Sim) ringPush(e *Event, b int64) {
@@ -84,22 +75,12 @@ func (s *Sim) ringPush(e *Event, b int64) {
 	if len(*slot) == 0 {
 		s.occ[(uint64(b)&ringMask)>>6] |= 1 << (uint64(b) & 63)
 	}
-	switch {
-	case s.ringN == 0:
-		s.frontB, s.frontHeaped = b, false
-		*slot = append(*slot, e)
-	case b < s.frontB:
-		// New earliest bucket. Buckets between now and the old front are
-		// empty (the cursor only skips empty slots), so this slot is too.
-		// The abandoned front keeps its events; it is re-heapified when
-		// the cursor returns.
-		s.frontB, s.frontHeaped = b, false
-		*slot = append(*slot, e)
-	case b == s.frontB && s.frontHeaped:
-		bucketHeapPush(slot, e)
-	default:
-		*slot = append(*slot, e)
+	// A bucket before the front becomes the new front. Buckets between now
+	// and the old front are empty (the cursor only skips empty slots).
+	if s.ringN == 0 || b < s.frontB {
+		s.frontB = b
 	}
+	bucketHeapPush(slot, e)
 	s.ringN++
 }
 
@@ -122,7 +103,7 @@ func (s *Sim) ringPopFront(e *Event) {
 	e.index = -1
 	s.ringN--
 	if s.ringN == 0 {
-		s.frontB, s.frontHeaped = -1, false
+		s.frontB = -1
 	}
 }
 
@@ -163,14 +144,7 @@ func (s *Sim) peek() *Event {
 			// bucket via the bitmap (ringN > 0 guarantees one exists; the
 			// cursor never moves backward).
 			s.frontB = s.nextOccupied(s.frontB + 1)
-			s.frontHeaped = false
 			continue
-		}
-		if !s.frontHeaped {
-			for i := (len(ev) - 2) >> 2; i >= 0; i-- {
-				bucketSiftDown(ev, ev[i], i)
-			}
-			s.frontHeaped = true
 		}
 		e := ev[0]
 		if e.fn == nil {
@@ -221,10 +195,10 @@ func (s *Sim) migrate() {
 	}
 }
 
-// ---- front-bucket mini-heap ----
+// ---- bucket mini-heaps ----
 //
-// The bucket under the cursor is a 4-ary min-heap over its slice, with no
-// index maintenance (lazy cancellation never removes from the middle).
+// Each ring bucket is a 4-ary min-heap over its slice, with no index
+// maintenance (lazy cancellation never removes from the middle).
 
 // bucketHeapPush appends e and sifts it up.
 //
@@ -395,6 +369,10 @@ func (s *Sim) maybeCompact() {
 			for i := len(k); i < len(ev); i++ {
 				ev[i] = nil
 			}
+			// Filtering can break the bucket's heap order; restore it.
+			for i := (len(k) - 2) >> 2; i >= 0; i-- {
+				bucketSiftDown(k, k[i], i)
+			}
 			s.ring[si] = k
 			if len(k) > 0 {
 				s.occ[si>>6] |= 1 << (uint(si) & 63)
@@ -402,9 +380,6 @@ func (s *Sim) maybeCompact() {
 			remaining += len(k)
 		}
 		s.ringN = remaining
-		// Filtering compacts the slice, which can break heap order; the
-		// front bucket is re-heapified on the next peek.
-		s.frontHeaped = false
 		if s.ringN == 0 {
 			s.frontB = -1
 		}

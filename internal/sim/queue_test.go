@@ -320,19 +320,30 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 }
 
 // TestQueueCompactionUnderRingCancels forces compaction while corpses sit
-// in both halves of the queue, then checks nothing live was lost.
+// in both halves of the queue, then checks nothing live was lost and that
+// the survivors still fire in (at, seq) order. Two of every three events
+// are cancelled, so corpses outnumber live events and compaction runs.
+// Events are scheduled in descending time, sixteen to a bucket, so each
+// bucket's heap order differs from its slice order and filtering corpses
+// out of it breaks the heap unless compaction restores it.
 func TestQueueCompactionUnderRingCancels(t *testing.T) {
+	type fire struct {
+		at  Time
+		seq uint64
+	}
 	s := New(1)
-	var fired int
+	var fired []fire
 	var keep []*Event
 	var kill []*Event
-	for i := 0; i < 400; i++ {
-		near := s.At(Time(i)*Nanosecond, "near", func() { fired++ })
-		far := s.At(ringHorizon+Time(i)*Microsecond, "far", func() { fired++ })
-		if i%2 == 0 {
-			kill = append(kill, near, far)
-		} else {
+	for i := 399; i >= 0; i-- {
+		nearSeq := s.seq
+		near := s.At(Time(i)*bucketSpan/16, "near", func() { fired = append(fired, fire{s.Now(), nearSeq}) })
+		farSeq := s.seq
+		far := s.At(ringHorizon+Time(i)*Microsecond, "far", func() { fired = append(fired, fire{s.Now(), farSeq}) })
+		if i%3 == 0 {
 			keep = append(keep, near, far)
+		} else {
+			kill = append(kill, near, far)
 		}
 	}
 	for _, e := range kill {
@@ -343,14 +354,23 @@ func TestQueueCompactionUnderRingCancels(t *testing.T) {
 	if s.Pending() != len(keep) {
 		t.Fatalf("Pending = %d, want %d", s.Pending(), len(keep))
 	}
+	if len(s.heap)+s.ringN == len(keep)+len(kill) {
+		t.Fatal("compaction never ran")
+	}
 	for _, e := range keep {
 		if !e.Pending() {
 			t.Fatal("compaction dropped a live event")
 		}
 	}
 	s.Run()
-	if fired != len(keep) {
-		t.Fatalf("fired %d, want %d", fired, len(keep))
+	if len(fired) != len(keep) {
+		t.Fatalf("fired %d, want %d", len(fired), len(keep))
+	}
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
+			t.Fatalf("fire %d at (%v, %d) after (%v, %d): not in (at, seq) order", i, b.at, b.seq, a.at, a.seq)
+		}
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", s.Pending())

@@ -13,7 +13,7 @@ import "fmt"
 type Event struct {
 	at    Time
 	seq   uint64
-	index int // heap index; ringIndex in the ring; batchIndex while batch-resident; -1 once popped
+	index int // heap index; ringIndex in the ring; -1 once popped
 	fn    func()
 	name  string
 }
@@ -40,15 +40,13 @@ type Sim struct {
 	now Time
 	seq uint64
 
-	heap        []*Event             // overflow min-heap: events at or beyond the ring horizon
-	ring        *[ringSlots][]*Event // near-future buckets, bucketSpan wide each
-	occ         [occWords]uint64     // bitmap of non-empty buckets, for O(1) cursor jumps
-	ringN       int                  // events resident in the ring, dead included
-	frontB      int64                // absolute bucket number under the front cursor, -1 when the ring is empty
-	frontHeaped bool                 // front bucket has been organized as a mini-heap
+	heap   []*Event             // overflow min-heap: events at or beyond the ring horizon
+	ring   *[ringSlots][]*Event // near-future buckets, bucketSpan wide each, each a 4-ary min-heap
+	occ    [occWords]uint64     // bitmap of non-empty buckets, for O(1) cursor jumps
+	ringN  int                  // events resident in the ring, dead included
+	frontB int64                // absolute bucket number under the front cursor, -1 when the ring is empty
 
 	free      []*Event // recycled Event structs, reused by At/After
-	batch     []*Event // reusable same-tick firing batch (see runTick)
 	rng       *RNG
 	live      int // queued events that have not been lazily cancelled
 	fired     uint64
@@ -173,6 +171,16 @@ func (s *Sim) Step() bool {
 	if e == nil {
 		return false
 	}
+	s.fire(e)
+	return true
+}
+
+// fire pops e, which peek just returned, advances the clock to its
+// instant and runs its callback. Step, Run and RunUntil all fire through
+// it, so every loop fires events in the same (at, seq) order.
+//
+//lhlint:hotpath
+func (s *Sim) fire(e *Event) {
 	if e.index == ringIndex {
 		s.ringPopFront(e)
 	} else {
@@ -184,75 +192,11 @@ func (s *Sim) Step() bool {
 	s.fired++
 	s.recycle(e)
 	fn()
-	return true
 }
 
-// runTick drains the earliest tick — every queued event sharing the
-// earliest timestamp, in ascending seq — into the reusable batch buffer,
-// advances the clock once, and fires the batch in one loop. Draining never
-// runs callbacks, so the batch is exactly the set of same-at events that
-// existed when the tick began; anything a callback schedules at the same
-// instant carries a higher seq, re-enters the queue, and fires in a later
-// batch — the (at, seq) total order of one-at-a-time stepping, preserved
-// exactly. Batch-resident events keep a non-negative sentinel index so a
-// same-tick callback can still Cancel them; corpses are skipped (their
-// counters were adjusted at Cancel time). Returns false if no event is
-// pending at or before bound.
-//
-//lhlint:hotpath
-func (s *Sim) runTick(bound Time) bool {
-	e := s.peek()
-	if e == nil || e.at > bound {
-		return false
-	}
-	t := e.at
-	b := s.batch[:0]
-	for {
-		if e.index == ringIndex {
-			s.ringPopFront(e)
-		} else {
-			s.heapPop()
-		}
-		e.index = batchIndex
-		b = append(b, e)
-		if e = s.peek(); e == nil || e.at != t {
-			break
-		}
-	}
-	s.advance(t)
-	for i := 0; i < len(b); i++ {
-		if s.stopped {
-			// Stop() ran mid-batch: the rest has not fired. Re-queue it so
-			// the queue is left intact for inspection, as Stop documents.
-			for _, r := range b[i:] {
-				s.push(r)
-			}
-			break
-		}
-		e := b[i]
-		b[i] = nil
-		e.index = -1
-		if fn := e.fn; fn != nil {
-			s.live--
-			s.fired++
-			s.recycle(e)
-			fn()
-		} else {
-			// Cancelled while batch-resident; Cancel already accounted it.
-			s.recycle(e)
-		}
-	}
-	for i := range b {
-		b[i] = nil
-	}
-	s.batch = b[:0]
-	return true
-}
-
-// Run fires events until the queue drains or Stop is called, draining each
-// tick as one batch.
+// Run fires events until the queue drains or Stop is called.
 func (s *Sim) Run() {
-	for !s.stopped && s.runTick(Never) {
+	for s.Step() {
 	}
 }
 
@@ -264,7 +208,12 @@ func (s *Sim) RunUntil(t Time) uint64 {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
 	}
 	start := s.fired
-	for !s.stopped && s.runTick(t) {
+	for !s.stopped {
+		e := s.peek()
+		if e == nil || e.at > t {
+			break
+		}
+		s.fire(e)
 	}
 	if !s.stopped && s.now < t {
 		s.advance(t)

@@ -189,22 +189,45 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Nanosecond, "e", func() {
-			count++
-			if count == 3 {
-				s.Stop()
+	for _, tc := range []struct {
+		name    string
+		n, stop int  // events scheduled; the stop-th to fire calls Stop
+		spacing Time // gap between consecutive events' instants
+	}{
+		{"distinct instants", 10, 3, Nanosecond},
+		{"same instant", 5, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			count := 0
+			events := make([]*Event, tc.n)
+			for i := range events {
+				events[i] = s.At(Nanosecond+Time(i)*tc.spacing, "e", func() {
+					count++
+					if count == tc.stop {
+						s.Stop()
+					}
+				})
+			}
+			s.Run()
+			if count != tc.stop {
+				t.Fatalf("fired %d events after Stop at %d", count, tc.stop)
+			}
+			if !s.Stopped() {
+				t.Fatal("Stopped() = false after Stop")
+			}
+			if want := tc.n - tc.stop; s.Pending() != want {
+				t.Fatalf("Pending() = %d after Stop, want %d", s.Pending(), want)
+			}
+			if want := Nanosecond + Time(tc.stop)*tc.spacing; s.NextAt() != want {
+				t.Fatalf("NextAt() = %v after Stop, want %v", s.NextAt(), want)
+			}
+			for i, e := range events[tc.stop:] {
+				if !e.Pending() {
+					t.Fatalf("unfired event %d not Pending after Stop", tc.stop+i)
+				}
 			}
 		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("fired %d events after Stop at 3", count)
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
 	}
 }
 

@@ -1,12 +1,11 @@
 package sim
 
-// Property test for the batch-fire determinism contract: draining a tick
-// into the reusable batch buffer (runTick, the Run/RunUntil loop) must
-// fire events in exactly the (at, seq) order of one-at-a-time stepping.
-// Each random scenario is an event cascade — callbacks schedule children
-// (including same-instant ones, which must land in a LATER batch) and
-// cancel pending events — executed twice, once via Step and once via Run,
-// with the fired order serialized to bytes and compared.
+// Property test for the determinism contract: Run must fire events in
+// exactly the (at, seq) order of one-at-a-time stepping. Each random
+// scenario is an event cascade — callbacks schedule children (including
+// same-instant ones, which must fire after every event already queued at
+// that instant) and cancel pending events — executed twice, once via Step
+// and once via Run, with the fired order serialized to bytes and compared.
 
 import (
 	"bytes"
@@ -25,7 +24,7 @@ import (
 // cancelled — Event structs are recycled at fire time, so holding a stale
 // pointer across a fire and cancelling it would hit whatever event reused
 // the struct (model code never does this; the test must not either).
-func scenarioTrace(seed int64, batch bool) []byte {
+func scenarioTrace(seed int64, run bool) []byte {
 	const maxEvents = 64
 	type liveEvent struct {
 		id int
@@ -50,9 +49,8 @@ func scenarioTrace(seed int64, batch bool) []byte {
 		id := nextID
 		nextID++
 		scheduled++
-		// Delay 0 keeps the child on the current instant: under batching it
-		// must re-enter the queue with a higher seq and fire in a later
-		// batch, matching the stepping order exactly.
+		// Delay 0 keeps the child on the current instant: its higher seq
+		// must put it behind every event already queued at that instant.
 		d := Time(rng.Intn(4)) * Nanosecond
 		e := s.After(d, "cascade", func() {
 			drop(id)
@@ -72,7 +70,7 @@ func scenarioTrace(seed int64, batch bool) []byte {
 	for i := 0; i < 4; i++ {
 		schedule()
 	}
-	if batch {
+	if run {
 		s.Run()
 	} else {
 		for s.Step() {
@@ -83,14 +81,14 @@ func scenarioTrace(seed int64, batch bool) []byte {
 	return trace
 }
 
-func TestBatchFireMatchesStepOrder(t *testing.T) {
+func TestRunMatchesStepOrder(t *testing.T) {
 	const scenarios = 10_000
 	for seed := int64(0); seed < scenarios; seed++ {
 		stepped := scenarioTrace(seed, false)
-		batched := scenarioTrace(seed, true)
-		if !bytes.Equal(stepped, batched) {
-			t.Fatalf("seed %d: batch fire order diverged from step order\nstep:  %x\nbatch: %x",
-				seed, stepped, batched)
+		ran := scenarioTrace(seed, true)
+		if !bytes.Equal(stepped, ran) {
+			t.Fatalf("seed %d: Run fire order diverged from step order\nstep: %x\nrun:  %x",
+				seed, stepped, ran)
 		}
 	}
 }
