@@ -8,7 +8,6 @@ import (
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
-	"lauberhorn/internal/trace"
 	"lauberhorn/internal/wire"
 )
 
@@ -271,7 +270,6 @@ type NIC struct {
 	// telemetry is the §6 per-service statistics block, readable by the
 	// OS over the kernel control channel.
 	telemetry map[uint32]*SvcTelemetry
-	tracer    *trace.Tracer
 
 	stats Stats
 
@@ -564,7 +562,6 @@ func (n *NIC) answerLoad(addr mesi.LineAddr, region int, svc uint32, coreID int,
 			ep.queue = ep.queue[1:]
 			n.stats.FastDispatch++
 			n.noteDispatch(req, false)
-			n.emit(trace.Dispatch, uint64(req.svc), uint64(coreID), "fast-queued")
 			n.dispatchTo(addr, req, false, respond)
 			return
 		}
@@ -589,7 +586,6 @@ func (n *NIC) answerLoad(addr mesi.LineAddr, region int, svc uint32, coreID int,
 		if req, _ := n.oldestBacklog(); req != nil {
 			n.stats.KernDispatch++
 			n.noteDispatch(req, true)
-			n.emit(trace.Dispatch, uint64(req.svc), uint64(coreID), "kernel-queued")
 			n.dispatchTo(addr, req, true, respond)
 			return
 		}
@@ -707,10 +703,8 @@ func (n *NIC) fireTryAgain(p *pendingLoad) {
 	}
 	if marker == MarkerRetire {
 		n.stats.Retires++
-		n.emit(trace.Retire, uint64(p.coreID), uint64(p.svc), "timer")
 	} else {
 		n.stats.TryAgains++
-		n.emit(trace.TryAgain, uint64(p.coreID), uint64(p.svc), "")
 	}
 	respond := p.respond
 	n.freePendingLoad(p)
@@ -1013,7 +1007,6 @@ func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
 	n.nextSerial++
 	n.inflights[req.serial] = req
 	n.noteArrival(req.svc)
-	n.emit(trace.RxFrame, uint64(req.svc), req.serial, "")
 
 	// Fast path: a core is stalled on this service's control line (FIFO
 	// over the endpoint's waiting channels).
@@ -1022,7 +1015,6 @@ func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
 		n.removePending(p)
 		n.stats.FastDispatch++
 		n.noteDispatch(req, false)
-		n.emit(trace.Dispatch, uint64(req.svc), uint64(p.coreID), "fast")
 		addr, respond := p.addr, p.respond
 		n.freePendingLoad(p)
 		n.dispatchTo(addr, req, false, respond)
@@ -1035,7 +1027,6 @@ func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
 		n.removePending(p)
 		n.stats.KernDispatch++
 		n.noteDispatch(req, true)
-		n.emit(trace.Dispatch, uint64(req.svc), uint64(p.coreID), "kernel")
 		addr, respond := p.addr, p.respond
 		n.freePendingLoad(p)
 		n.dispatchTo(addr, req, true, respond)
@@ -1147,6 +1138,5 @@ func (n *NIC) txFire() {
 		return
 	}
 	n.stats.TxFrames++
-	n.emit(trace.TxFrame, uint64(len(frame)), 0, "")
 	n.link.Send(n.side, frame)
 }

@@ -7,7 +7,6 @@ import (
 
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
-	"lauberhorn/internal/trace"
 )
 
 // This file implements the §6 "support for tracing, debugging, and
@@ -111,15 +110,4 @@ func (n *NIC) TelemetryReport() string {
 			sim.Time(p[1]))
 	}
 	return b.String()
-}
-
-// SetTracer attaches a trace ring buffer; the NIC emits dispatch, rx/tx,
-// TryAgain and Retire events into it when enabled.
-func (n *NIC) SetTracer(tr *trace.Tracer) { n.tracer = tr }
-
-// emit traces an event if a tracer is attached.
-func (n *NIC) emit(kind trace.Kind, a, b uint64, note string) {
-	if n.tracer != nil {
-		n.tracer.Emit(kind, a, b, note)
-	}
 }

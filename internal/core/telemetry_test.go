@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lauberhorn/internal/sim"
-	"lauberhorn/internal/trace"
 )
 
 func TestTelemetryCountsDispatchPaths(t *testing.T) {
@@ -64,47 +63,5 @@ func TestTelemetryReportFormat(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
-	}
-}
-
-func TestTracerCapturesProtocolEvents(t *testing.T) {
-	s, h, client := lhRig(t, 1, 0)
-	tr := trace.New(s, 256)
-	tr.Enable()
-	h.NIC.SetTracer(tr)
-	s.RunUntil(sim.Millisecond)
-	client.send(t, 9000, 1, 1, 1, []byte("x"))
-	client.send(t, 9000, 1, 1, 2, []byte("y"))
-	s.RunUntil(20 * sim.Millisecond)
-
-	if tr.Count(trace.RxFrame) != 2 {
-		t.Errorf("rx events %d", tr.Count(trace.RxFrame))
-	}
-	if tr.Count(trace.TxFrame) != 2 {
-		t.Errorf("tx events %d", tr.Count(trace.TxFrame))
-	}
-	if tr.Count(trace.Dispatch) != 2 {
-		t.Errorf("dispatch events %d", tr.Count(trace.Dispatch))
-	}
-	// Idle long enough for a TryAgain to be traced.
-	s.RunUntil(40 * sim.Millisecond)
-	if tr.Count(trace.TryAgain) == 0 {
-		t.Error("no TryAgain traced over idle period")
-	}
-	dump := tr.Dump(trace.Dispatch)
-	if !strings.Contains(dump, "dispatch") {
-		t.Errorf("dump:\n%s", dump)
-	}
-}
-
-func TestTracerDisabledIsFree(t *testing.T) {
-	s, h, client := lhRig(t, 1, 0)
-	tr := trace.New(s, 16)
-	h.NIC.SetTracer(tr) // not enabled
-	s.RunUntil(sim.Millisecond)
-	client.send(t, 9000, 1, 1, 1, []byte("x"))
-	s.RunUntil(10 * sim.Millisecond)
-	if len(tr.Events()) != 0 {
-		t.Fatal("disabled tracer recorded events")
 	}
 }

@@ -112,7 +112,7 @@ func TestDetMapScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := lint.RunPackage(fset, pkg, "lauberhorn/internal/trace", []*lint.Analyzer{lint.DetMap})
+	diags := lint.RunPackage(fset, pkg, "lauberhorn/internal/wire", []*lint.Analyzer{lint.DetMap})
 	if len(diags) != 0 {
 		t.Fatalf("detmap fired outside its package set: %v", diags)
 	}
