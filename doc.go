@@ -28,14 +28,14 @@
 // tables to a serial run, streaming results in presentation order and
 // recording per-experiment wall-clock and simulator-event counts via
 // sim.Meter. The simulator itself recycles events through a free list
-// with lazy cancellation and drains each tick as one batch, so the
-// schedule->fire and schedule->cancel hot paths allocate nothing in
-// steady state (see internal/sim benchmarks), and the model layer above
-// it is flattened the same way: per-request state machines with
-// prebound continuations, scratch-staged control lines, and
-// provision-time function tables instead of per-event closures and
-// interface dispatch (the "Model layer" section of DESIGN.md documents
-// the layout and the before/after profile).
+// with lazy cancellation, so the schedule->fire and schedule->cancel
+// hot paths allocate nothing in steady state (see internal/sim
+// benchmarks), and the model layer above it is flattened the same way:
+// per-request state machines with prebound continuations,
+// scratch-staged control lines, and provision-time function tables
+// instead of per-event closures and interface dispatch (the "Model
+// layer" section of DESIGN.md documents the layout and the before/after
+// profile).
 //
 // Those contracts are statically enforced: internal/lint (run as
 // cmd/lhlint) is a stdlib-only analyzer suite that forbids map

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -57,9 +56,6 @@ func TestLedger(t *testing.T) {
 	got := b.String()
 
 	if *updateLedger {
-		if err := os.MkdirAll(filepath.Dir(ledgerPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(ledgerPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,11 @@ package sim
 import "math/bits"
 
 // This file implements the simulator's event queue: a near-future bucket
-// ring fronting a 4-ary min-heap. The split exploits the dominant scheduling pattern in this
-// repository — After(d) with tiny d (NIC serialization ticks, cache-line
-// protocol hops, decode-pipeline stages) — while keeping far-future events
-// (TryAgain timers, coherence watchdogs, rate-limited generators) out of
-// the hot path.
+// ring fronting a 4-ary min-heap. The split exploits the dominant
+// scheduling pattern in this repository — After(d) with tiny d (NIC
+// serialization ticks, cache-line protocol hops, decode-pipeline stages) —
+// while keeping far-future events (TryAgain timers, coherence watchdogs,
+// rate-limited generators) out of the hot path.
 //
 //   - Events within ringHorizon of now land in bucketSpan-wide buckets and
 //     never touch the overflow heap. Every bucket is a small 4-ary min-heap

@@ -32,10 +32,11 @@ func (e *Event) Pending() bool { return e.index >= 0 && e.fn != nil }
 // simulator from event callbacks to schedule further work. Distinct Sim
 // instances are fully independent and may run on separate goroutines.
 //
-// The queue is a hybrid: a bucket ring for events within ringHorizon of
-// now, an inline 4-ary min-heap for the rest (see queue.go). Both order
-// events by (at, seq) so simultaneous events fire in scheduling order,
-// which keeps runs deterministic.
+// The queue is a hybrid: a ring of heap-ordered buckets for events within
+// ringHorizon of now, an inline 4-ary min-heap for the rest (see
+// queue.go). Both order events by (at, seq) so simultaneous events fire
+// in scheduling order, which keeps runs deterministic. Step, Run and
+// RunUntil fire events one at a time in that order.
 type Sim struct {
 	now Time
 	seq uint64
